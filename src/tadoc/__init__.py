@@ -27,7 +27,6 @@ from .container import (
 )
 from .dag import Dag, DatasetFeatures, coarsen, extract_features, load_merge_graph
 from .scheduler import (
-    DEFAULT_RULE_TABLE,
     PartitionPlan,
     plan_partitions,
     run_parallel,
@@ -67,7 +66,6 @@ __all__ = [
     "coarsen",
     "extract_features",
     "load_merge_graph",
-    "DEFAULT_RULE_TABLE",
     "PartitionPlan",
     "plan_partitions",
     "run_parallel",

@@ -16,29 +16,17 @@ import sys
 import tempfile
 import time
 
-from . import __version__, kernels, oracle
+from . import __version__, oracle
 from .corpus import CorpusError, decode_stream, encode_corpus, tokenize
 from .container import ContainerError, read_container, read_header, write_container
-from .dag import coarsen, extract_features, load_merge_graph
-from .scheduler import ORDER_SENSITIVE, run_parallel, select_variant
+from .dag import extract_features
+from .kernels import INDEX_VARIANTS, TASKS, load_dag, run_task
+from .scheduler import run_parallel, select_variant
 from .sequitur import expand, infer_grammar
 
-TASK_NAMES = {
-    "word-count": "word_count",
-    "sort": "sort",
-    "inverted-index": "inverted_index",
-    "term-vector": "term_vector",
-    "sequence-count": "sequence_count",
-    "ranked-inverted-index": "ranked_inverted_index",
-    "tfidf": "tfidf",
-}
-
-VARIANT_NAMES = {
-    "postorder": "postorder",
-    "preorder-set": "preorder_set",
-    "preorder-bitmap": "preorder_bitmap",
-    "preorder-twolevel": "preorder_twolevel",
-}
+# command-line names are the library's names with hyphens
+TASK_NAMES = {task.replace("_", "-"): task for task in TASKS}
+VARIANT_NAMES = {variant.replace("_", "-"): variant for variant in INDEX_VARIANTS}
 
 
 def _log(message: str) -> None:
@@ -166,32 +154,7 @@ def _emit(task, result, names, output):
             print(line)
 
 
-# -- kernel dispatch -----------------------------------------------------------------
-
-
-def _run_kernel(task, dag, dictionary, variant, l, top_k):
-    if task == "word_count":
-        if variant == "postorder":
-            return kernels.word_count_postorder(dag, dictionary)
-        return kernels.word_count_preorder(dag, dictionary)
-    if task == "sort":
-        return kernels.sort_words(dag, dictionary)
-    if task == "inverted_index":
-        return kernels.inverted_index(dag, dictionary, variant)
-    if task == "term_vector":
-        return kernels.term_vector(dag, dictionary, top_k)
-    if task == "sequence_count":
-        return kernels.sequence_count(dag, dictionary, l)
-    if task == "ranked_inverted_index":
-        return kernels.ranked_inverted_index(dag, dictionary, l)
-    if task == "tfidf":
-        return kernels.tfidf(dag, dictionary, variant)
-    raise ValueError(f"unknown task {task!r}")
-
-
-def _run_oracle(task, files, l, top_k, lowercase):
-    lists = oracle.token_lists(files, lowercase)
-    return _oracle_compute(task, lists, l, top_k)
+# -- oracle dispatch -----------------------------------------------------------------
 
 
 def _oracle_compute(task, lists, l, top_k):
@@ -212,11 +175,11 @@ def _oracle_compute(task, lists, l, top_k):
     raise ValueError(f"unknown task {task!r}")
 
 
-def _resolve_variant(requested, header, task):
+def _resolve_variant(requested, header):
     if requested != "auto":
         return VARIANT_NAMES[requested]
     features = extract_features(None, header)
-    variant = select_variant(features, task)
+    variant = select_variant(features)
     _log(
         f"variant auto: {variant} (avg_file_tokens="
         f"{features.avg_file_tokens:.1f}, files={features.file_count})"
@@ -274,7 +237,8 @@ def cmd_analyze(args) -> int:
     if args.engine in ("baseline", "gzip"):
         pairs = _collect_paths(args.inputs, None)
         files = _read_gz_files(pairs) if args.engine == "gzip" else _read_files(pairs)
-        result = _run_oracle(task, files, args.l, args.top_k, args.lowercase)
+        lists = oracle.token_lists(files, args.lowercase)
+        result = _oracle_compute(task, lists, args.l, args.top_k)
         _emit(task, result, [name for name, _ in files], args.output)
         return 0
 
@@ -284,7 +248,7 @@ def cmd_analyze(args) -> int:
         data = handle.read()
     dictionary, grammar, header = read_container(data)
     names = [entry.name for entry in header.file_table]
-    variant = _resolve_variant(args.variant, header, task)
+    variant = _resolve_variant(args.variant, header)
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get("TADOC_WORKERS", "1"))
@@ -308,13 +272,8 @@ def cmd_analyze(args) -> int:
             coarsen_threshold=args.coarsen,
         )
     else:
-        dag = load_merge_graph(grammar)
-        threshold = args.coarsen
-        if threshold is None:
-            threshold = 100 if task in ORDER_SENSITIVE else 0
-        if threshold:
-            dag = coarsen(dag, threshold)
-        result = _run_kernel(task, dag, dictionary, variant, args.l, args.top_k)
+        dag = load_dag(grammar, task, args.coarsen)
+        result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0
 
@@ -353,20 +312,11 @@ def _bench_cd(task, container_path, variant, l, top_k, coarsen_threshold):
     (data, io_s) = _timed(lambda: open(container_path, "rb").read())
 
     def init():
-        dictionary, grammar, header = read_container(data)
-        dag = load_merge_graph(grammar)
-        threshold = coarsen_threshold
-        if threshold is None:
-            threshold = 100 if task in ORDER_SENSITIVE else 0
-        if threshold:
-            dag = coarsen(dag, threshold)
-        chosen = variant
-        if chosen == "auto":
-            chosen = select_variant(extract_features(None, header), task)
-        return dictionary, dag, chosen
+        dictionary, grammar, _ = read_container(data)
+        return dictionary, load_dag(grammar, task, coarsen_threshold)
 
-    (dictionary, dag, chosen), init_s = _timed(init)
-    _, compute_s = _timed(lambda: _run_kernel(task, dag, dictionary, chosen, l, top_k))
+    (dictionary, dag), init_s = _timed(init)
+    _, compute_s = _timed(lambda: run_task(task, dag, dictionary, variant, l, top_k))
     return {"io": io_s, "init": init_s, "compute": compute_s}
 
 
@@ -413,6 +363,7 @@ def cmd_bench(args) -> int:
         write_container(dictionary, grammar, encoded.file_table, deflate=False)
     )
     _log(f"prepared container: {len(blob)} bytes in {compress_seconds:.2f}s")
+    variant = _resolve_variant(args.variant, read_header(blob))
 
     gz_pairs = []
     gz_size = 0
@@ -430,7 +381,7 @@ def cmd_bench(args) -> int:
             if engine == "cd":
                 runs.append(
                     _bench_cd(
-                        task, container_path, args.variant, args.l, args.top_k,
+                        task, container_path, variant, args.l, args.top_k,
                         args.coarsen,
                     )
                 )
@@ -518,6 +469,13 @@ def _positive_length(value: str) -> int:
     return length
 
 
+def _top_k(value: str) -> int:
+    top_k = int(value)
+    if top_k < 0:
+        raise argparse.ArgumentTypeError("top-k must be >= 0")
+    return top_k
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tadoc",
@@ -552,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)],
     )
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
     p.add_argument("--coarsen", type=int, default=None, help="node coarsening threshold")
     p.add_argument("--lowercase", action="store_true")
@@ -570,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engines", default="cd,baseline,gzip")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)])
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
     p.add_argument("--coarsen", type=int, default=None)
     p.add_argument("--workdir", help="artifact directory (default: a temp dir)")

@@ -13,7 +13,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 
-from .corpus import Dictionary, EncodedCorpus, FileEntry
+from .corpus import Dictionary, FileEntry
 from .sequitur import Grammar
 
 MAGIC = b"TDOC"
@@ -170,12 +170,6 @@ def write_container(
         compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
         payload = compressor.compress(payload) + compressor.flush()
     return preamble + payload
-
-
-def compress_corpus(
-    dictionary: Dictionary, encoded: EncodedCorpus, grammar: Grammar, deflate=True
-) -> bytes:
-    return write_container(dictionary, grammar, encoded.file_table, deflate)
 
 
 # -- reading -------------------------------------------------------------------

@@ -4,6 +4,10 @@ Count-style kernels use the merged-edge tables; order-sensitive kernels walk
 the ordered element lists depth-first, which visits words in their original
 document order. Preorder phases propagate through a work queue where a node
 is enqueued only once all of its in-edges have delivered.
+
+The CLI, `tadoc bench` and the scheduler's workers share `load_dag` (with
+the coarsening default), `run_task` (task to kernel), and the finalizers
+`rank_term_vectors` and `tfidf_scores` over per-file counts.
 """
 
 from __future__ import annotations
@@ -14,9 +18,62 @@ from collections import Counter, deque
 
 from .bitmap import make_file_set
 from .corpus import Dictionary
-from .dag import Dag
+from .dag import Dag, coarsen, load_merge_graph
+from .sequitur import Grammar
+
+TASKS = (
+    "word_count",
+    "sort",
+    "inverted_index",
+    "term_vector",
+    "sequence_count",
+    "ranked_inverted_index",
+    "tfidf",
+)
+
+ORDER_SENSITIVE = ("sequence_count", "ranked_inverted_index")
 
 INDEX_VARIANTS = ("postorder", "preorder_set", "preorder_bitmap", "preorder_twolevel")
+
+
+def load_dag(grammar: Grammar, task: str, threshold: int | None) -> Dag:
+    """The DAG `task` runs on: merged edges, coarsened at `threshold`.
+
+    With threshold None, order-sensitive tasks coarsen at 100 elements and
+    the others run on the DAG as loaded.
+    """
+    dag = load_merge_graph(grammar)
+    if threshold is None:
+        threshold = 100 if task in ORDER_SENSITIVE else 0
+    return coarsen(dag, threshold) if threshold else dag
+
+
+def run_task(
+    task: str,
+    dag: Dag,
+    dictionary: Dictionary,
+    variant: str = "postorder",
+    l: int = 3,
+    top_k: int | None = None,
+):
+    """Run one of TASKS on `dag` with the given traversal variant."""
+    if task == "word_count":
+        if variant == "postorder":
+            return word_count_postorder(dag, dictionary)
+        return word_count_preorder(dag, dictionary)
+    if task == "sort":
+        return sort_words(dag, dictionary)
+    if task == "inverted_index":
+        return inverted_index(dag, dictionary, variant)
+    if task == "term_vector":
+        return term_vector(dag, dictionary, top_k)
+    if task == "sequence_count":
+        return sequence_count(dag, dictionary, l)
+    if task == "ranked_inverted_index":
+        return ranked_inverted_index(dag, dictionary, l)
+    if task == "tfidf":
+        return tfidf(dag, dictionary)
+    raise ValueError(f"unknown task {task!r}")
 
 
 # -- frequency propagation ----------------------------------------------------
@@ -200,15 +257,26 @@ def term_vector(
     dag: Dag, dictionary: Dictionary, top_k: int | None = None
 ) -> list[list[tuple[str, int]]]:
     """Per file: (word, count) sorted by count descending, ties by word."""
+    words = dictionary.words
+    return rank_term_vectors(
+        (
+            ((words[code], count) for code, count in counts.items())
+            for counts in _per_file_code_counts(dag)
+        ),
+        top_k,
+    )
+
+
+def rank_term_vectors(per_file, top_k: int | None) -> list[list[tuple[str, int]]]:
+    """Rank each file's (word, count) pairs: count descending, ties by word.
+
+    top_k keeps each file's first top_k terms; None keeps them all.
+    """
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
-    words = dictionary.words
     out = []
-    for counts in _per_file_code_counts(dag):
-        ranked = sorted(
-            ((words[code], count) for code, count in counts.items()),
-            key=lambda item: (-item[1], item[0]),
-        )
+    for pairs in per_file:
+        ranked = sorted(pairs, key=lambda item: (-item[1], item[0]))
         out.append(ranked[:top_k] if top_k is not None else ranked)
     return out
 
@@ -340,22 +408,30 @@ def rank_gram_files(
 # -- tfidf ---------------------------------------------------------------------
 
 
-def tfidf(
-    dag: Dag, dictionary: Dictionary, variant: str = "postorder"
-) -> dict[str, dict[int, float]]:
+def tfidf(dag: Dag, dictionary: Dictionary) -> dict[str, dict[int, float]]:
     """Raw in-file term frequency times ln(file count / document frequency)."""
-    per_file = _per_file_code_counts(dag)
-    index = inverted_index(dag, dictionary, variant)
-    file_count = dag.file_count
-    df = {word: len(files) for word, files in index.items()}
     words = dictionary.words
+    return tfidf_scores(
+        [
+            {words[code]: count for code, count in counts.items()}
+            for counts in _per_file_code_counts(dag)
+        ]
+    )
+
+
+def tfidf_scores(per_file: list[dict[str, int]]) -> dict[str, dict[int, float]]:
+    """Scores per word and file from each file's word counts.
+
+    The document frequency of a word is the number of files that count it.
+    """
+    file_count = len(per_file)
+    df: Counter = Counter()
+    for counts in per_file:
+        df.update(counts.keys())
     scores: dict[str, dict[int, float]] = {}
     for file_id, counts in enumerate(per_file):
-        for code, count in counts.items():
-            word = words[code]
+        for word, count in counts.items():
             scores.setdefault(word, {})[file_id] = count * math.log(
                 file_count / df[word]
             )
-    return {
-        word: dict(sorted(scores[word].items())) for word in sorted(scores)
-    }
+    return {word: dict(sorted(scores[word].items())) for word in sorted(scores)}

@@ -16,7 +16,6 @@ import math
 from collections import Counter
 
 from .corpus import tokenize
-from .kernels import rank_gram_files
 
 
 def token_lists(files: list[tuple[str, str]], lowercase: bool = False):
@@ -63,8 +62,15 @@ def sequence_count_tokens(lists, l=3) -> list[dict[str, int]]:
     return out
 
 
-def ranked_inverted_index_tokens(lists, l=3):
-    return rank_gram_files(sequence_count_tokens(lists, l))
+def ranked_inverted_index_tokens(lists, l=3) -> dict[str, list[tuple[int, int]]]:
+    by_gram: dict[str, list[tuple[int, int]]] = {}
+    for file_id, table in enumerate(sequence_count_tokens(lists, l)):
+        for gram, count in table.items():
+            by_gram.setdefault(gram, []).append((file_id, count))
+    return {
+        gram: sorted(by_gram[gram], key=lambda item: (-item[1], item[0]))
+        for gram in sorted(by_gram)
+    }
 
 
 def tfidf_tokens(lists) -> dict[str, dict[int, float]]:

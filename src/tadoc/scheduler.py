@@ -1,15 +1,17 @@
 """Traversal-variant selection and coarse-grained parallel execution.
 
-Variant selection is a static rule table (first match wins) shipping the
-published thresholds: small average file size favors postorder; otherwise
-preorder, with the two-level bitmap once the corpus has many files.
+`select_variant` applies the published thresholds: small average file size
+favors postorder; otherwise preorder, with the two-level bitmap once the
+corpus has many files.
 
 Partitioning packs whole files largest-first onto workers; a file is split
 into equal token-range sections only when it exceeds h_split = S/(2*n_w)
 and keeping it whole would leave some partition above 1.25x the average
-worker load. Each worker compresses and processes its partition
-independently against the shared dictionary; merging is a sequential fold
-in partition order, so results are invariant in the worker count.
+worker load. Each worker compresses its partition against the shared
+dictionary and runs the partial through the same `kernels.load_dag` and
+`kernels.run_task` as the serial path; merging is a sequential fold in
+partition order that ends in the same `kernels` finalizers, so results are
+invariant in the worker count.
 """
 
 from __future__ import annotations
@@ -22,49 +24,18 @@ from dataclasses import dataclass, field
 
 from . import kernels
 from .corpus import Dictionary
-from .dag import DatasetFeatures, coarsen, load_merge_graph
+from .dag import DatasetFeatures
+from .kernels import ORDER_SENSITIVE, TASKS
 from .sequitur import infer_grammar
 
-TASKS = (
-    "word_count",
-    "sort",
-    "inverted_index",
-    "term_vector",
-    "sequence_count",
-    "ranked_inverted_index",
-    "tfidf",
-)
 
-ORDER_SENSITIVE = ("sequence_count", "ranked_inverted_index")
-
-# Published decision thresholds; override by passing a different table.
-DEFAULT_RULE_TABLE = [
-    {"max_avg_file_tokens": 2860, "variant": "postorder"},
-    {"min_files": 801, "variant": "preorder_twolevel"},
-    {"variant": "preorder_bitmap"},
-]
-
-
-def select_variant(
-    features: DatasetFeatures, task: str | None = None, rules=None
-) -> str:
-    """Pick a traversal variant from the rule table (first match wins)."""
-    table = DEFAULT_RULE_TABLE if rules is None else rules
-    avg = features.avg_file_tokens
-    for rule in table:
-        if "max_avg_file_tokens" in rule and not avg < rule["max_avg_file_tokens"]:
-            continue
-        if "min_avg_file_tokens" in rule and not avg >= rule["min_avg_file_tokens"]:
-            continue
-        if "min_files" in rule and not features.file_count >= rule["min_files"]:
-            continue
-        if "max_files" in rule and not features.file_count <= rule["max_files"]:
-            continue
-        variant = rule["variant"]
-        if variant not in kernels.INDEX_VARIANTS:
-            raise ValueError(f"rule table names unknown variant {variant!r}")
-        return variant
-    raise ValueError("rule table has no matching rule")
+def select_variant(features: DatasetFeatures) -> str:
+    """Pick a traversal variant from the published thresholds."""
+    if features.avg_file_tokens < 2860:
+        return "postorder"
+    if features.file_count >= 801:
+        return "preorder_twolevel"
+    return "preorder_bitmap"
 
 
 # -- partitioning ---------------------------------------------------------------
@@ -173,16 +144,12 @@ def _worker(dictionary, units, task, variant, l, threshold):
         symbols.extend(codes)
         symbols.append(word_count + index)
     grammar = infer_grammar(symbols, n_terminals, word_count)
-    dag = load_merge_graph(grammar)
-    if threshold:
-        dag = coarsen(dag, threshold)
+    dag = kernels.load_dag(grammar, task, threshold)
 
     if task in ("word_count", "sort"):
-        if variant == "postorder":
-            return kernels.word_count_postorder(dag, dictionary)
-        return kernels.word_count_preorder(dag, dictionary)
+        return kernels.run_task("word_count", dag, dictionary, variant)
     if task == "inverted_index":
-        local = kernels.inverted_index(dag, dictionary, variant)
+        local = kernels.run_task(task, dag, dictionary, variant)
         return {
             word: {units[i][0] for i in ids} for word, ids in local.items()
         }
@@ -198,7 +165,7 @@ def _worker(dictionary, units, task, variant, l, threshold):
                 out[file_id] = decoded
         return out
     if task in ORDER_SENSITIVE:
-        per_unit = kernels.sequence_count(dag, dictionary, l)
+        per_unit = kernels.run_task("sequence_count", dag, dictionary, variant, l)
         words = dictionary.words
         partials = []
         for (file_id, seq, codes), table in zip(units, per_unit):
@@ -250,7 +217,6 @@ def run_parallel(
     l: int = 3,
     top_k: int | None = None,
     coarsen_threshold: int | None = None,
-    rules=None,
 ):
     """Partition, compress and analyze per worker, then merge.
 
@@ -267,9 +233,7 @@ def run_parallel(
             vocab_size=dictionary.word_count,
             rule_count=0,
         )
-        variant = select_variant(features, task, rules)
-    if coarsen_threshold is None:
-        coarsen_threshold = 100 if task in ORDER_SENSITIVE else 0
+        variant = select_variant(features)
 
     plan = plan_partitions([len(codes) for codes in file_codes], n_workers)
     partition_units = []
@@ -320,21 +284,10 @@ def _merge(task, partials, file_count, l, top_k):
             for file_id, counts in partial.items():
                 per_file[file_id].update(counts)
         if task == "term_vector":
-            out = []
-            for counts in per_file:
-                ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-                out.append(ranked[:top_k] if top_k is not None else ranked)
-            return out
-        df: Counter = Counter()
-        for counts in per_file:
-            df.update(set(counts))
-        scores: dict[str, dict[int, float]] = {}
-        for file_id, counts in enumerate(per_file):
-            for word, count in counts.items():
-                scores.setdefault(word, {})[file_id] = count * math.log(
-                    file_count / df[word]
-                )
-        return {word: dict(sorted(scores[word].items())) for word in sorted(scores)}
+            return kernels.rank_term_vectors(
+                (counts.items() for counts in per_file), top_k
+            )
+        return kernels.tfidf_scores(per_file)
 
     if task in ORDER_SENSITIVE:
         by_file: dict[int, list] = {}

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 The two large-corpus tests (compression ratio, compute speedup) generate
-their corpora on the fly and take a few minutes combined.
+their corpora on the fly and take a few minutes combined; they are marked
+`slow`, so `pytest -m "not slow"` leaves them out.
 """
 
 import io
@@ -12,6 +13,8 @@ import random
 import sys
 import time
 import zlib
+
+import pytest
 
 from conftest import build_dag, random_corpus, repetitive_corpus
 from tadoc import container as C
@@ -116,10 +119,7 @@ def _sequential_results(files, threshold):
         "term_vector": [kernels.term_vector(dag, dictionary)],
         "sequence_count": [kernels.sequence_count(dag, dictionary, 3)],
         "ranked_inverted_index": [kernels.ranked_inverted_index(dag, dictionary, 3)],
-        "tfidf": [
-            kernels.tfidf(dag, dictionary, v)
-            for v in ("postorder", "preorder_twolevel")
-        ],
+        "tfidf": [kernels.tfidf(dag, dictionary)],
     }
     return results
 
@@ -264,6 +264,7 @@ def test_acceptance_7_partitioning_500_multisets():
     )
 
 
+@pytest.mark.slow
 def test_acceptance_8_compression_ratio_property():
     start = time.monotonic()
     files = repetitive_corpus(
@@ -305,6 +306,7 @@ def test_acceptance_8_compression_ratio_property():
     )
 
 
+@pytest.mark.slow
 def test_acceptance_9_compute_speedup_on_100mb(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

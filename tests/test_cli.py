@@ -112,6 +112,21 @@ def test_workers_flag_and_env_invariance(capsys, corpus_dir, tmp_path, monkeypat
     assert via_env == sequential
 
 
+def test_negative_top_k_is_usage_error(capsys, corpus_dir, tmp_path):
+    out_path = tmp_path / "c.tdoc"
+    assert main(["compress", str(corpus_dir), "--out", str(out_path)]) == 0
+    for argv in (
+        ["analyze", str(out_path), "term-vector", "--top-k", "-1"],
+        ["analyze", str(out_path), "term-vector", "--top-k", "-1", "--workers", "2"],
+        ["analyze", str(corpus_dir), "term-vector", "--top-k", "-1", "--engine", "baseline"],
+        ["bench", str(corpus_dir), "term-vector", "--top-k", "-1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
+    assert "top-k must be >= 0" in capsys.readouterr().err
+
+
 def test_variant_override_and_log(capsys, ref_container):
     code, out, err = run(
         capsys, ["analyze", str(ref_container), "word-count", "--variant", "preorder-bitmap"]
@@ -185,6 +200,13 @@ def test_bench_smoke(capsys, corpus_dir, tmp_path):
             assert engine[phase] >= 0
     assert report["sizes"]["raw"] > 0
     assert "speedups_vs_baseline" in report
+    code, out, _ = run(capsys, [
+        "bench", str(corpus_dir), "inverted-index", "--engines", "cd",
+        "--variant", "preorder-bitmap", "--repeat", "1", "--output", "json",
+        "--workdir", str(tmp_path / "bench"),
+    ])
+    assert code == 0
+    assert set(json.loads(out)["engines"]) == {"cd"}
 
 
 def test_json_output_schema(capsys, ref_container):

@@ -18,6 +18,15 @@ def test_empty_file_gets_empty_tables():
     assert oracle.inverted_index(files) == {"a": [1], "b": [1]}
 
 
+def test_ranked_inverted_index_orders_by_count_then_file():
+    files = [("f0", "a b c"), ("f1", "x"), ("f2", "a b c a b c"), ("f3", "a b c")]
+    assert oracle.ranked_inverted_index(files) == {
+        "a_b_c": [(2, 2), (0, 1), (3, 1)],
+        "b_c_a": [(2, 1)],
+        "c_a_b": [(2, 1)],
+    }
+
+
 def test_tfidf_recomposable_from_term_vector_and_inverted_index():
     rng = random.Random(61)
     for _ in range(20):

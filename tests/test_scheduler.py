@@ -33,14 +33,6 @@ def test_selector_published_thresholds():
     assert select_variant(features(2860, 800)) == "preorder_bitmap"
 
 
-def test_selector_rule_table_override():
-    table = [{"min_files": 2, "variant": "preorder_set"}, {"variant": "postorder"}]
-    assert select_variant(features(10, 5), rules=table) == "preorder_set"
-    assert select_variant(features(10, 1), rules=table) == "postorder"
-    with pytest.raises(ValueError):
-        select_variant(features(10, 1), rules=[{"variant": "nope"}])
-
-
 def test_balanced_whole_files_are_not_split():
     plan = plan_partitions([10, 10, 10, 10], 2)
     assert sorted(plan.loads) == [20, 20]
@@ -149,6 +141,13 @@ def test_results_invariant_under_worker_count():
             for workers in (1, 2, 4, 8):
                 merged = run_parallel(dictionary, streams, task, workers)
                 assert merged == reference, (task, workers)
+        for top_k in (0, 1, 3):
+            reference = oracle.term_vector(files, top_k=top_k)
+            for workers in (1, 2, 4, 8):
+                merged = run_parallel(
+                    dictionary, streams, "term_vector", workers, top_k=top_k
+                )
+                assert merged == reference, (top_k, workers)
 
 
 def test_split_file_sequence_count_matches_oracle():
@@ -173,3 +172,10 @@ def test_run_parallel_rejects_unknown_task():
     dictionary, streams = _file_streams([("f0", "a b")])
     with pytest.raises(ValueError):
         run_parallel(dictionary, streams, "word-frequency", 2)
+
+
+def test_run_parallel_rejects_negative_top_k():
+    dictionary, streams = _file_streams([("f0", "a b a"), ("f1", "b c")])
+    for workers in (1, 2):
+        with pytest.raises(ValueError):
+            run_parallel(dictionary, streams, "term_vector", workers, top_k=-1)
