@@ -10,7 +10,6 @@ little-endian. See docs/format.md for a hex-annotated example.
 from __future__ import annotations
 
 import zlib
-from collections import deque
 from dataclasses import dataclass
 
 from .corpus import Dictionary, FileEntry
@@ -92,32 +91,31 @@ def read_varint(data, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def decode_varints(data, pos: int, count: int) -> tuple[list[int], int]:
-    """Batch varint decode; the single-byte fast path dominates hot reads."""
+def decode_varint_stream(data, pos: int) -> tuple[list[int], bool]:
+    """Every varint from `pos` to the end of `data`, in one pass.
+
+    The flag is True when the data ends inside a varint, its final byte
+    missing.
+    """
     out = []
     append = out.append
-    size = len(data)
-    for _ in range(count):
-        if pos >= size:
-            raise TruncatedContainerError("varint runs past end of payload")
-        byte = data[pos]
-        pos += 1
+    stream = iter(data[pos:])
+    for byte in stream:
         if byte < 0x80:
             append(byte)
             continue
         value = byte & 0x7F
         shift = 7
-        while True:
-            if pos >= size:
-                raise TruncatedContainerError("varint runs past end of payload")
-            byte = data[pos]
-            pos += 1
+        # the rest of this varint, from the same iterator
+        for byte in stream:
             if byte < 0x80:
                 append(value | (byte << shift))
                 break
             value |= (byte & 0x7F) << shift
             shift += 7
-    return out, pos
+        else:
+            return out, True
+    return out, False
 
 
 # -- writing -------------------------------------------------------------------
@@ -288,17 +286,31 @@ def read_container(data: bytes) -> tuple[Dictionary, Grammar, ContainerHeader]:
     separator_count = header.n_terminals - header.word_count
     dictionary = Dictionary(words, separator_count)
 
-    bodies = []
-    for _ in range(header.rule_count):
-        body_len, pos = read_varint(payload, pos)
-        body, pos = decode_varints(payload, pos, body_len)
-        bodies.append(body)
-    if pos != len(payload):
-        raise ContainerError(f"{len(payload) - pos} trailing bytes after grammar")
+    bodies = _split_rules(payload, pos, header.rule_count)
     grammar = Grammar(header.n_terminals, header.word_count, bodies)
 
     _verify_features(header, dictionary, grammar)
     return dictionary, grammar, header
+
+
+def _split_rules(payload, pos: int, rule_count: int) -> list[list[int]]:
+    """The grammar block: `rule_count` bodies, each a length and its symbols."""
+    values, unterminated = decode_varint_stream(payload, pos)
+    bodies = []
+    index = 0
+    for _ in range(rule_count):
+        if index >= len(values):
+            raise TruncatedContainerError("varint runs past end of payload")
+        end = index + 1 + values[index]
+        if end > len(values):
+            raise TruncatedContainerError("varint runs past end of payload")
+        bodies.append(values[index + 1 : end])
+        index = end
+    if index != len(values) or unterminated:
+        for _ in range(index):
+            _, pos = read_varint(payload, pos)
+        raise ContainerError(f"{len(payload) - pos} trailing bytes after grammar")
+    return bodies
 
 
 def _verify_features(header, dictionary: Dictionary, grammar: Grammar) -> None:
@@ -319,42 +331,41 @@ def _verify_features(header, dictionary: Dictionary, grammar: Grammar) -> None:
 
 
 def _grammar_token_count(grammar: Grammar) -> int:
-    """Word tokens in the expansion, via rule frequencies (no expansion)."""
-    n = grammar.n_terminals
-    n_words = grammar.n_words
-    rule_count = len(grammar.rules)
-    in_deg = [0] * rule_count
-    direct = [0] * rule_count
-    children: list[list[int]] = []
-    for index, body in enumerate(grammar.rules):
-        kids = []
-        words = 0
-        for sym in body:
-            if sym >= n:
-                kid = sym - n
-                kids.append(kid)
-                in_deg[kid] += 1
-            elif sym < n_words:
-                words += 1
-        direct[index] = words
-        children.append(kids)
+    """Word tokens in the expansion, via each rule's expanded length.
 
-    freq = [0] * rule_count
-    freq[0] = 1
-    queue = deque([0])
-    seen = 0
-    while queue:
-        index = queue.popleft()
-        seen += 1
-        f = freq[index]
-        for kid in children[index]:
-            freq[kid] += f
-            in_deg[kid] -= 1
-            if in_deg[kid] == 0:
-                queue.append(kid)
-    if seen != rule_count:
+    The rules are ordered parents first over their distinct references,
+    which also finds cycles and unreachable rules; lengths then fill in
+    children first, each a sum over the body, so no body is expanded.
+    """
+    n = grammar.n_terminals
+    rules = grammar.rules
+    rule_count = len(rules)
+    if not rule_count:
+        raise ContainerError("grammar has no root rule")
+    children = [[sym - n for sym in set(body) if sym >= n] for body in rules]
+    in_deg = [0] * rule_count
+    try:
+        for kids in children:
+            for kid in kids:
+                in_deg[kid] += 1
+    except IndexError:
+        raise ContainerError("grammar references an undefined rule") from None
+    order = [0]
+    if in_deg[0] == 0:
+        for index in order:
+            for kid in children[index]:
+                in_deg[kid] -= 1
+                if in_deg[kid] == 0:
+                    order.append(kid)
+    if in_deg[0] or len(order) != rule_count:
         raise ContainerError("grammar graph is cyclic or has unreachable rules")
-    return sum(f * d for f, d in zip(freq, direct))
+
+    # words in each symbol's expansion: 1 per word, 0 per separator
+    length = [1] * grammar.n_words + [0] * (n - grammar.n_words + rule_count)
+    expanded = length.__getitem__
+    for index in reversed(order):
+        length[n + index] = sum(map(expanded, rules[index]))
+    return length[n]
 
 
 # -- reporting -----------------------------------------------------------------

@@ -60,7 +60,7 @@ def load_merge_graph(grammar: Grammar) -> Dag:
     for index, body in enumerate(grammar.rules):
         term_counts: dict[int, int] = {}
         child_counts: dict[int, int] = {}
-        for sym, count in Counter(body).items():
+        for sym, count in _symbol_counts(body).items():
             if sym >= n:
                 child_counts[sym] = count
             elif sym < n_words:
@@ -77,6 +77,24 @@ def load_merge_graph(grammar: Grammar) -> Dag:
     segments = _root_segments(nodes[root_id].elements, n_words, n)
     topo = _topo_order(nodes, root_id)
     return Dag(n, n_words, root_id, nodes, segments, topo)
+
+
+# bodies longer than this are counted with Counter
+_COUNTER_MIN_BODY = 16
+
+
+def _symbol_counts(body: list[int]) -> dict[int, int]:
+    """Occurrences of each symbol in one rule body, in first-seen order.
+
+    Building a Counter costs more than counting a short body directly, and
+    most rules hold only a few symbols.
+    """
+    if len(body) > _COUNTER_MIN_BODY:
+        return Counter(body)
+    counts: dict[int, int] = {}
+    for sym in body:
+        counts[sym] = counts.get(sym, 0) + 1
+    return counts
 
 
 def _root_segments(elements: list[int], n_words: int, n: int) -> list[tuple[int, int]]:
@@ -102,8 +120,8 @@ def _topo_order(nodes: dict[int, Node], root_id: int) -> list[int]:
     while queue:
         rid = queue.popleft()
         order.append(rid)
-        for child in nodes[rid].child_counts:
-            remaining[child] -= nodes[rid].child_counts[child]
+        for child, mult in nodes[rid].child_counts.items():
+            remaining[child] -= mult
             if remaining[child] == 0:
                 queue.append(child)
     if len(order) != len(nodes):

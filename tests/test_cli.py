@@ -199,6 +199,10 @@ def test_bench_smoke(capsys, corpus_dir, tmp_path):
         for phase in ("io", "init", "compute", "total"):
             assert engine[phase] >= 0
     assert report["sizes"]["raw"] > 0
+    assert report["corpus"]["files"] == 2
+    assert report["corpus"]["tokens"] == 15 + 6
+    container = tmp_path / "bench" / "corpus.tdoc"
+    assert report["sizes"]["container"] == container.stat().st_size
     assert "speedups_vs_baseline" in report
     code, out, _ = run(capsys, [
         "bench", str(corpus_dir), "inverted-index", "--engines", "cd",

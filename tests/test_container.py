@@ -6,7 +6,7 @@ import pytest
 from conftest import random_corpus, repetitive_corpus
 from tadoc import container as C
 from tadoc.corpus import FileEntry, encode_corpus
-from tadoc.sequitur import infer_grammar
+from tadoc.sequitur import Grammar, infer_grammar
 
 
 def build(files):
@@ -72,9 +72,54 @@ def test_truncation_never_yields_partial_grammar():
     dictionary, encoded, grammar = build([("f0", "a b c a b c a b")])
     for deflate in (True, False):
         blob = C.write_container(dictionary, grammar, encoded.file_table, deflate)
-        for cut in (4, 15, len(blob) // 2, len(blob) - 1):
+        for cut in range(len(blob)):
             with pytest.raises(C.ContainerError):
                 C.read_container(blob[:cut])
+
+
+def test_trailing_bytes_after_grammar_are_counted():
+    dictionary, encoded, grammar = build([("f0", "a b a b a b")])
+    blob = C.write_container(dictionary, grammar, encoded.file_table, False)
+    # two complete varints, one of them two bytes long
+    with pytest.raises(C.ContainerError, match="^3 trailing bytes after grammar$"):
+        C.read_container(blob + b"\x05\x85\x01")
+    # a varint whose final byte is missing
+    with pytest.raises(C.ContainerError, match="^2 trailing bytes after grammar$"):
+        C.read_container(blob + b"\x85\x85")
+
+
+def test_cyclic_grammar_is_rejected():
+    dictionary, encoded, grammar = build([("f0", "a b a b")])
+    n = grammar.n_terminals
+    rules = [list(body) for body in grammar.rules]
+    # a new rule that the root references and that references itself
+    rules[0].insert(0, n + len(rules))
+    rules.append([0, n + len(rules)])
+    cyclic = Grammar(n, grammar.n_words, rules)
+    blob = C.write_container(dictionary, cyclic, encoded.file_table, False)
+    with pytest.raises(C.ContainerError, match="cyclic"):
+        C.read_container(blob)
+    # a rule that references the root
+    rules[-1] = [0, n]
+    back_edge = Grammar(n, grammar.n_words, rules)
+    blob = C.write_container(dictionary, back_edge, encoded.file_table, False)
+    with pytest.raises(C.ContainerError, match="cyclic"):
+        C.read_container(blob)
+
+
+def test_undefined_or_missing_rules_are_rejected():
+    dictionary, encoded, grammar = build([("f0", "a b a b")])
+    n = grammar.n_terminals
+    rules = [list(body) for body in grammar.rules]
+    rules[0].insert(0, n + len(rules))
+    dangling = Grammar(n, grammar.n_words, rules)
+    blob = C.write_container(dictionary, dangling, encoded.file_table, False)
+    with pytest.raises(C.ContainerError, match="undefined rule"):
+        C.read_container(blob)
+    rootless = Grammar(n, grammar.n_words, [])
+    blob = C.write_container(dictionary, rootless, encoded.file_table, False)
+    with pytest.raises(C.ContainerError, match="no root rule"):
+        C.read_container(blob)
 
 
 def test_deflate_garbage():
@@ -107,7 +152,7 @@ def test_read_header_matches_full_read():
 
 def test_varint_round_trip():
     buf = bytearray()
-    values = [0, 1, 127, 128, 300, 2**21, 2**35 + 17]
+    values = [0, 1, 127, 128, 300, 16383, 16384, 2**21, 2**35 + 17]
     for value in values:
         C.write_varint(buf, value)
     pos = 0
@@ -116,6 +161,11 @@ def test_varint_round_trip():
         value, pos = C.read_varint(buf, pos)
         out.append(value)
     assert out == values and pos == len(buf)
+    assert C.decode_varint_stream(bytes(buf), 0) == (values, False)
+    # from an offset, and with the final byte of the last varint missing
+    first = len(buf) - 6  # 2**35 + 17 takes six bytes
+    assert C.decode_varint_stream(bytes(buf), first) == (values[-1:], False)
+    assert C.decode_varint_stream(bytes(buf[:-1]), 0) == (values[:-1], True)
 
 
 def test_compression_report_arithmetic():

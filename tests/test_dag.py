@@ -70,6 +70,28 @@ def test_in_edges_match_brute_force_parent_scan():
             assert ordered == node.child_counts
 
 
+def test_merged_tables_are_counts_in_first_seen_order():
+    rng = random.Random(33)
+    n_words, n = 6, 7  # one separator code
+    for root_length in (3, 16, 17, 200):
+        rules = [
+            [rng.randrange(n_words) for _ in range(length)] for length in (2, 16, 17, 40)
+        ]
+        root = [
+            rng.choice([rng.randrange(n_words), n + rng.randrange(1, 5)])
+            for _ in range(root_length)
+        ]
+        root += [n + index for index in range(1, 5)] + [n_words]
+        dag = load_merge_graph(Grammar(n, n_words, [root] + rules))
+        for index, body in enumerate([root] + rules):
+            node = dag.nodes[n + index]
+            counts = list(Counter(body).items())
+            words = [(sym, c) for sym, c in counts if sym < n_words]
+            children = [(sym, c) for sym, c in counts if sym >= n]
+            assert list(node.term_counts.items()) == words
+            assert list(node.child_counts.items()) == children
+
+
 def test_coarsen_inlines_everything_small():
     dictionary, encoded, dag = build_dag(REF_FILES)
     flat = coarsen(dag, threshold=100)
