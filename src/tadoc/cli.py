@@ -249,10 +249,7 @@ def cmd_analyze(args) -> int:
     dictionary, grammar, header = read_container(data)
     names = [entry.name for entry in header.file_table]
     variant = _resolve_variant(args.variant, header)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("TADOC_WORKERS", "1"))
-    if workers > 1:
+    if args.workers > 1:
         streams: list[list[int]] = []
         current: list[int] = []
         for sym in expand(grammar):
@@ -265,8 +262,7 @@ def cmd_analyze(args) -> int:
             dictionary,
             streams,
             task,
-            workers,
-            variant=variant,
+            args.workers,
             l=args.l,
             top_k=args.top_k,
             coarsen_threshold=args.coarsen,
@@ -481,6 +477,16 @@ def _positive_length(value: str) -> int:
     return length
 
 
+def _at_least_one(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+    return number
+
+
 def _top_k(value: str) -> int:
     top_k = int(value)
     if top_k < 0:
@@ -521,7 +527,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)],
     )
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers", type=_at_least_one, default=os.environ.get("TADOC_WORKERS", "1"),
+        help="worker threads (default: $TADOC_WORKERS, else 1); --variant "
+        "applies on one worker",
+    )
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
     p.add_argument("--coarsen", type=int, default=None, help="node coarsening threshold")
@@ -538,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="directory of text files")
     p.add_argument("task", choices=sorted(TASK_NAMES))
     p.add_argument("--engines", default="cd,baseline,gzip")
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--repeat", type=_at_least_one, default=3)
     p.add_argument("--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)])
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)

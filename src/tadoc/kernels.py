@@ -2,12 +2,15 @@
 
 Count-style kernels use the merged-edge tables; order-sensitive kernels walk
 the ordered element lists depth-first, which visits words in their original
-document order. Preorder phases propagate through a work queue where a node
-is enqueued only once all of its in-edges have delivered.
+document order. Preorder phases walk `dag.topo`, which lists every parent
+before its children: the in-edge gate is applied once, when the DAG is
+loaded, and a node's frequency or file set is complete when its turn comes.
 
-The CLI, `tadoc bench` and the scheduler's workers share `load_dag` (with
-the coarsening default), `run_task` (task to kernel), and the finalizers
-`rank_term_vectors` and `tfidf_scores` over per-file counts.
+The CLI, `tadoc bench` and the scheduler share `load_dag` (with the
+coarsening default) and the finalizers `rank_term_vectors`, `tfidf_scores`
+and `rank_gram_files`; the CLI and `tadoc bench` also share `run_task`
+(task to kernel), while the scheduler's workers return the per-file tables
+of `_per_file_code_counts` and `sequence_count`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import Counter, deque
 
 from .bitmap import make_file_set
 from .corpus import Dictionary
-from .dag import Dag, coarsen, load_merge_graph
+from .dag import Dag, coarsen, load_merge_graph, node_frequencies
 from .sequitur import Grammar
 
 TASKS = (
@@ -76,33 +79,6 @@ def run_task(
     raise ValueError(f"unknown task {task!r}")
 
 
-# -- frequency propagation ----------------------------------------------------
-
-
-def preorder_schedule(dag: Dag) -> tuple[dict[int, int], list[int]]:
-    """Rule frequencies via parent-first propagation.
-
-    Returns (frequency per node, dequeue order). Each node is dequeued
-    exactly once, after updates == in_edges.
-    """
-    nodes = dag.nodes
-    freq = dict.fromkeys(nodes, 0)
-    updates = dict.fromkeys(nodes, 0)
-    freq[dag.root_id] = 1
-    queue = deque([dag.root_id])
-    order = []
-    while queue:
-        rid = queue.popleft()
-        order.append(rid)
-        f = freq[rid]
-        for child, mult in nodes[rid].child_counts.items():
-            freq[child] += f * mult
-            updates[child] += mult
-            if updates[child] == nodes[child].in_edges:
-                queue.append(child)
-    return freq, order
-
-
 # -- word count / sort --------------------------------------------------------
 
 
@@ -129,7 +105,7 @@ def word_count_postorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
 
 
 def word_count_preorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
-    freq, _ = preorder_schedule(dag)
+    freq = node_frequencies(dag)
     counts: Counter = Counter()
     for rid, node in dag.nodes.items():
         f = freq[rid]
@@ -201,8 +177,6 @@ def _inverted_preorder(dag: Dag, kind: str) -> dict[int, set[int]]:
     file_sets = {
         rid: make_file_set(kind, universe) for rid in nodes if rid != dag.root_id
     }
-    updates = dict.fromkeys(nodes, 0)
-    queue: deque[int] = deque()
     index: dict[int, set[int]] = {}
 
     root = nodes[dag.root_id]
@@ -212,18 +186,13 @@ def _inverted_preorder(dag: Dag, kind: str) -> dict[int, set[int]]:
                 index.setdefault(sym, set()).add(file_id)
             else:
                 file_sets[sym].set(file_id)
-                updates[sym] += 1
-                if updates[sym] == nodes[sym].in_edges:
-                    queue.append(sym)
 
-    while queue:
-        rid = queue.popleft()
+    # dag.topo is root first, then parents before children: every set is
+    # complete before it is pushed on
+    for rid in dag.topo[1:]:
         fs = file_sets[rid]
-        for child, mult in nodes[rid].child_counts.items():
+        for child in nodes[rid].child_counts:
             file_sets[child].update(fs)
-            updates[child] += mult
-            if updates[child] == nodes[child].in_edges:
-                queue.append(child)
         members = list(fs.iter_set())
         for code in nodes[rid].term_counts:
             index.setdefault(code, set()).update(members)

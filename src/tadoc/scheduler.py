@@ -5,13 +5,16 @@ favors postorder; otherwise preorder, with the two-level bitmap once the
 corpus has many files.
 
 Partitioning packs whole files largest-first onto workers; a file is split
-into equal token-range sections only when it exceeds h_split = S/(2*n_w)
-and keeping it whole would leave some partition above 1.25x the average
-worker load. Each worker compresses its partition against the shared
-dictionary and runs the partial through the same `kernels.load_dag` and
-`kernels.run_task` as the serial path; merging is a sequential fold in
-partition order that ends in the same `kernels` finalizers, so results are
-invariant in the worker count.
+into equal token-range sections, never more than it has tokens, only when
+it exceeds h_split = S/(2*n_w) and keeping it whole would leave some
+partition above 1.25x the average worker load. Each worker compresses its
+partition against the shared dictionary and returns one table per unit (a
+whole file or one section): word-code counts, or l-gram counts for the
+order-sensitive tasks. A section's codes run l-1 tokens past its end, so
+each window is counted by the one section it starts in and a file's table
+is the sum of its sections' tables. `run_parallel` sums the tables per file
+and finishes every task from them with the `kernels` finalizers, so results
+are invariant in the worker count.
 """
 
 from __future__ import annotations
@@ -95,9 +98,7 @@ def _split(file_id: int, size: int, n_sections: int) -> list[Section]:
     return sections
 
 
-def plan_partitions(
-    sizes: list[int], n_workers: int, allow_split: bool = True
-) -> PartitionPlan:
+def plan_partitions(sizes: list[int], n_workers: int) -> PartitionPlan:
     """Assign files (in token counts) to n_workers partitions."""
     if n_workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -108,15 +109,16 @@ def plan_partitions(
     plan = PartitionPlan(_pack(items, n_workers), h_split, cap)
     if n_workers == 1:
         return plan
-    while allow_split and plan.max_load > cap:
+    while plan.max_load > cap:
+        # a file of one token cannot be split
         candidates = [
             s for p in plan.partitions for s in p
-            if s.n_sections == 1 and s.size > h_split
+            if s.n_sections == 1 and s.size > max(h_split, 1)
         ]
         if not candidates:
             break  # nothing may be split; best effort
         target = max(candidates, key=lambda s: (s.size, -s.file_id))
-        n_sections = math.ceil(target.size / h_split)
+        n_sections = min(math.ceil(target.size / h_split), target.size)
         items = [
             s for p in plan.partitions for s in p if s.file_id != target.file_id
         ]
@@ -131,81 +133,25 @@ def plan_partitions(
 # -- parallel execution ----------------------------------------------------------
 
 
-def _worker(dictionary, units, task, variant, l, threshold):
-    """Compress and analyze one partition; returns mergeable partials.
+def _worker(dictionary, units, task, l, threshold):
+    """Compress and analyze one partition; returns one table per unit.
 
-    units: list of (file_id, seq, token codes). The partition gets its own
-    grammar over the shared word codes, with one fresh separator per unit.
+    units: the token codes of each unit (a whole file or one section). The
+    partition gets its own grammar over the shared word codes, with one
+    fresh separator per unit. Tables count l-grams for the order-sensitive
+    tasks and word codes for the others.
     """
     word_count = dictionary.word_count
     n_terminals = word_count + len(units)
     symbols = []
-    for index, (_, _, codes) in enumerate(units):
+    for index, codes in enumerate(units):
         symbols.extend(codes)
         symbols.append(word_count + index)
     grammar = infer_grammar(symbols, n_terminals, word_count)
     dag = kernels.load_dag(grammar, task, threshold)
-
-    if task in ("word_count", "sort"):
-        return kernels.run_task("word_count", dag, dictionary, variant)
-    if task == "inverted_index":
-        local = kernels.run_task(task, dag, dictionary, variant)
-        return {
-            word: {units[i][0] for i in ids} for word, ids in local.items()
-        }
-    if task in ("term_vector", "tfidf"):
-        per_unit = kernels._per_file_code_counts(dag)
-        words = dictionary.words
-        out: dict[int, Counter] = {}
-        for (file_id, _, _), counts in zip(units, per_unit):
-            decoded = Counter({words[c]: n for c, n in counts.items()})
-            if file_id in out:
-                out[file_id].update(decoded)
-            else:
-                out[file_id] = decoded
-        return out
     if task in ORDER_SENSITIVE:
-        per_unit = kernels.run_task("sequence_count", dag, dictionary, variant, l)
-        words = dictionary.words
-        partials = []
-        for (file_id, seq, codes), table in zip(units, per_unit):
-            boundary = min(l - 1, len(codes))
-            partials.append(
-                {
-                    "file_id": file_id,
-                    "seq": seq,
-                    "grams": table,
-                    "head": [words[c] for c in codes[:boundary]],
-                    "tail": [words[c] for c in codes[-boundary:]] if boundary else [],
-                    "tokens": len(codes),
-                }
-            )
-        return partials
-    raise ValueError(f"unknown task {task!r}")
-
-
-def _merge_sequence_partials(partials_by_file, l):
-    """Sum per-section tables and count the windows crossing section cuts."""
-    merged = []
-    for file_id in sorted(partials_by_file):
-        sections = sorted(partials_by_file[file_id], key=lambda p: p["seq"])
-        counts: Counter = Counter()
-        context: list[str] = []
-        for section in sections:
-            counts.update(section["grams"])
-            boundary = section["head"]
-            seam = context + boundary
-            for start in range(len(context)):
-                if start + l <= len(seam):
-                    counts["_".join(seam[start : start + l])] += 1
-            if section["tokens"] >= l - 1:
-                context = section["tail"]
-            else:
-                context = (context + section["head"])[-(l - 1) :]
-        merged.append(
-            (file_id, {gram: counts[gram] for gram in sorted(counts)})
-        )
-    return [table for _, table in merged]
+        return kernels.sequence_count(dag, dictionary, l)
+    return kernels._per_file_code_counts(dag)
 
 
 def run_parallel(
@@ -213,7 +159,6 @@ def run_parallel(
     file_codes: list[list[int]],
     task: str,
     n_workers: int,
-    variant: str = "auto",
     l: int = 3,
     top_k: int | None = None,
     coarsen_threshold: int | None = None,
@@ -225,81 +170,52 @@ def run_parallel(
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    total = sum(len(codes) for codes in file_codes)
-    if variant == "auto":
-        features = DatasetFeatures(
-            file_count=len(file_codes),
-            total_tokens=total,
-            vocab_size=dictionary.word_count,
-            rule_count=0,
-        )
-        variant = select_variant(features)
-
+    # a section's l-gram windows run up to l-1 tokens past its end
+    overlap = l - 1 if task in ORDER_SENSITIVE else 0
     plan = plan_partitions([len(codes) for codes in file_codes], n_workers)
-    partition_units = []
-    for partition in plan.partitions:
-        units = [
-            (s.file_id, s.seq, file_codes[s.file_id][s.start : s.end])
-            for s in sorted(partition, key=lambda s: (s.file_id, s.seq))
-        ]
-        if units:
-            partition_units.append(units)
+    partitions = [
+        sorted(partition, key=lambda s: (s.file_id, s.seq))
+        for partition in plan.partitions
+        if partition
+    ]
 
-    if len(partition_units) <= 1:
-        partials = [
-            _worker(dictionary, units, task, variant, l, coarsen_threshold)
-            for units in partition_units
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(
-                    _worker, dictionary, units, task, variant, l, coarsen_threshold
-                )
-                for units in partition_units
-            ]
-            partials = [f.result() for f in futures]
+    def work(sections):
+        units = [file_codes[s.file_id][s.start : s.end + overlap] for s in sections]
+        return _worker(dictionary, units, task, l, coarsen_threshold)
 
-    return _merge(task, partials, len(file_codes), l, top_k)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        partials = list(pool.map(work, partitions))
+
+    tables: list[Counter] = [Counter() for _ in file_codes]
+    for sections, partial in zip(partitions, partials):
+        for section, table in zip(sections, partial):
+            tables[section.file_id].update(table)
+    return _finish(task, tables, dictionary, top_k)
 
 
-def _merge(task, partials, file_count, l, top_k):
-    if task in ("word_count", "sort"):
-        counts: Counter = Counter()
-        for partial in partials:
-            counts.update(partial)
-        merged = {word: counts[word] for word in sorted(counts)}
-        return list(merged.items()) if task == "sort" else merged
-
-    if task == "inverted_index":
-        index: dict[str, set[int]] = {}
-        for partial in partials:
-            for word, ids in partial.items():
-                index.setdefault(word, set()).update(ids)
-        return {word: sorted(index[word]) for word in sorted(index)}
-
-    if task in ("term_vector", "tfidf"):
-        per_file: list[Counter] = [Counter() for _ in range(file_count)]
-        for partial in partials:
-            for file_id, counts in partial.items():
-                per_file[file_id].update(counts)
-        if task == "term_vector":
-            return kernels.rank_term_vectors(
-                (counts.items() for counts in per_file), top_k
-            )
-        return kernels.tfidf_scores(per_file)
-
-    if task in ORDER_SENSITIVE:
-        by_file: dict[int, list] = {}
-        for partial in partials:
-            for section in partial:
-                by_file.setdefault(section["file_id"], []).append(section)
-        tables = [dict() for _ in range(file_count)]
-        merged = _merge_sequence_partials(by_file, l)
-        for file_id, table in zip(sorted(by_file), merged):
-            tables[file_id] = table
-        if task == "sequence_count":
-            return tables
+def _finish(task, tables, dictionary, top_k):
+    """The result of `task` from each file's summed table."""
+    if task == "sequence_count":
+        return [{gram: table[gram] for gram in sorted(table)} for table in tables]
+    if task == "ranked_inverted_index":
         return kernels.rank_gram_files(tables)
-
-    raise ValueError(f"unknown task {task!r}")
+    words = dictionary.words
+    if task == "term_vector":
+        return kernels.rank_term_vectors(
+            (((words[c], n) for c, n in table.items()) for table in tables), top_k
+        )
+    if task == "tfidf":
+        return kernels.tfidf_scores(
+            [{words[c]: n for c, n in table.items()} for table in tables]
+        )
+    if task == "inverted_index":
+        files: dict[int, list[int]] = {}
+        for file_id, table in enumerate(tables):
+            for code in table:
+                files.setdefault(code, []).append(file_id)
+        return {words[c]: files[c] for c in sorted(files, key=words.__getitem__)}
+    totals: Counter = Counter()
+    for table in tables:
+        totals.update(table)
+    counts = kernels._decode_counts(totals, dictionary)
+    return list(counts.items()) if task == "sort" else counts

@@ -147,13 +147,12 @@ def test_acceptance_3_oracle_equivalence_all_kernels():
                 for result in outputs:
                     assert result == truth[task], (trial, threshold, task)
                     checked += 1
-        variant = kernels.INDEX_VARIANTS[trial % 4]
         for workers in (1, 4):
             for threshold in (0, 100):
                 for task in TASKS:
                     merged = run_parallel(
                         dictionary, streams, task, workers,
-                        variant=variant, coarsen_threshold=threshold,
+                        coarsen_threshold=threshold,
                     )
                     assert merged == truth[task], (trial, workers, threshold, task)
                     checked += 1

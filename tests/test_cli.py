@@ -112,6 +112,19 @@ def test_workers_flag_and_env_invariance(capsys, corpus_dir, tmp_path, monkeypat
     assert via_env == sequential
 
 
+def test_worker_count_below_one_is_usage_error(capsys, ref_container, monkeypatch):
+    for flag in ("0", "-1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(ref_container), "word-count", "--workers", flag])
+        assert excinfo.value.code == 2, flag
+    for value in ("abc", "0"):
+        monkeypatch.setenv("TADOC_WORKERS", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(ref_container), "word-count"])
+        assert excinfo.value.code == 2, value
+    assert "must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_negative_top_k_is_usage_error(capsys, corpus_dir, tmp_path):
     out_path = tmp_path / "c.tdoc"
     assert main(["compress", str(corpus_dir), "--out", str(out_path)]) == 0
@@ -120,6 +133,7 @@ def test_negative_top_k_is_usage_error(capsys, corpus_dir, tmp_path):
         ["analyze", str(out_path), "term-vector", "--top-k", "-1", "--workers", "2"],
         ["analyze", str(corpus_dir), "term-vector", "--top-k", "-1", "--engine", "baseline"],
         ["bench", str(corpus_dir), "term-vector", "--top-k", "-1"],
+        ["bench", str(corpus_dir), "word-count", "--repeat", "0"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

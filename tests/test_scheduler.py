@@ -41,17 +41,21 @@ def test_balanced_whole_files_are_not_split():
 
 
 def test_oversized_file_is_split():
-    plan = plan_partitions([100, 1, 1], 2)
-    assert plan.split_files == {0}
-    assert plan.max_load <= plan.load_cap
-    sections = sorted(
-        (s for p in plan.partitions for s in p if s.file_id == 0),
-        key=lambda s: s.seq,
-    )
-    assert [s.seq for s in sections] == list(range(len(sections)))
-    assert sections[0].start == 0 and sections[-1].end == 100
-    for before, after in zip(sections, sections[1:]):
-        assert before.end == after.start
+    # in the second case h_split is below one token
+    for sizes, workers, split in (([100, 1, 1], 2, {0}), ([12, 2, 1], 16, {0, 1})):
+        plan = plan_partitions(sizes, workers)
+        assert plan.split_files == split
+        assert plan.max_load <= plan.load_cap
+        for file_id in split:
+            sections = sorted(
+                (s for p in plan.partitions for s in p if s.file_id == file_id),
+                key=lambda s: s.seq,
+            )
+            assert [s.seq for s in sections] == list(range(len(sections)))
+            assert all(s.size > 0 for s in sections)
+            assert sections[0].start == 0 and sections[-1].end == sizes[file_id]
+            for before, after in zip(sections, sections[1:]):
+                assert before.end == after.start
 
 
 def test_single_worker_never_splits():
@@ -154,18 +158,26 @@ def test_split_file_sequence_count_matches_oracle():
     rng = random.Random(47)
     # one dominating file forces a split under several worker counts
     big = " ".join(rng.choices(["u", "v", "w", "x", "y"], k=900))
-    files = [("big", big), ("s0", "u v"), ("s1", "w"), ("s2", "")]
-    dictionary, streams = _file_streams(files)
-    for workers in (2, 4, 8):
-        plan = plan_partitions([len(s) for s in streams], workers)
-        assert 0 in plan.split_files
-        for l in (2, 3, 5):
-            merged = run_parallel(dictionary, streams, "sequence_count", workers, l=l)
-            assert merged == oracle.sequence_count(files, l), (workers, l)
-            ranked = run_parallel(
-                dictionary, streams, "ranked_inverted_index", workers, l=l
-            )
-            assert ranked == oracle.ranked_inverted_index(files, l)
+    cases = [(big, (2, 4, 8), (2, 3, 5))]
+    # sections shorter than l-1 tokens: windows run over several sections
+    for size in (12, 25, 60):
+        short = " ".join(rng.choices(["u", "v", "w", "x", "y"], k=size))
+        cases.append((short, (8, 16), (5, 8)))
+    for text, worker_counts, lengths in cases:
+        files = [("big", text), ("s0", "u v"), ("s1", "w"), ("s2", "")]
+        dictionary, streams = _file_streams(files)
+        for workers in worker_counts:
+            plan = plan_partitions([len(s) for s in streams], workers)
+            assert 0 in plan.split_files
+            for l in lengths:
+                merged = run_parallel(
+                    dictionary, streams, "sequence_count", workers, l=l
+                )
+                assert merged == oracle.sequence_count(files, l), (workers, l)
+                ranked = run_parallel(
+                    dictionary, streams, "ranked_inverted_index", workers, l=l
+                )
+                assert ranked == oracle.ranked_inverted_index(files, l)
 
 
 def test_run_parallel_rejects_unknown_task():
