@@ -8,6 +8,10 @@ populated file-id ranges instead of the file universe.
 
 from __future__ import annotations
 
+# SingleLayerBitmap.iter_set takes its bit vector apart in words this wide
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
+
 
 class PlainFileSet:
     """Thin wrapper over a Python set, the reference representation."""
@@ -59,12 +63,15 @@ class SingleLayerBitmap:
 
     def iter_set(self):
         bits = self._bits
-        file_id = 0
+        base = 0
         while bits:
-            if bits & 1:
-                yield file_id
-            bits >>= 1
-            file_id += 1
+            word = bits & _WORD_MASK
+            while word:
+                low = word & -word  # the lowest set bit
+                yield base + low.bit_length() - 1
+                word ^= low
+            bits >>= _WORD_BITS
+            base += _WORD_BITS
 
 
 class DoubleLayerBitmap:
@@ -106,16 +113,15 @@ class DoubleLayerBitmap:
             blocks[block] = blocks.get(block, 0) | bits
 
     def iter_set(self):
-        base_width = self.block_bits
-        for block in sorted(self._blocks):
-            bits = self._blocks[block]
-            base = block * base_width
-            bit = 0
+        width = self.block_bits
+        blocks = self._blocks
+        for block in sorted(blocks):
+            bits = blocks[block]
+            base = block * width
             while bits:
-                if bits & 1:
-                    yield base + bit
-                bits >>= 1
-                bit += 1
+                low = bits & -bits  # the lowest set bit
+                yield base + low.bit_length() - 1
+                bits ^= low
 
     # Introspection used by tests and the worked example in the docs.
 

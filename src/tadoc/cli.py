@@ -268,7 +268,7 @@ def cmd_analyze(args) -> int:
             coarsen_threshold=args.coarsen,
         )
     else:
-        dag = load_dag(grammar, task, args.coarsen)
+        dag = load_dag(grammar, args.coarsen)
         result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0
@@ -309,7 +309,7 @@ def _bench_cd(task, container_path, variant, l, top_k, coarsen_threshold):
 
     def init():
         dictionary, grammar, _ = read_container(data)
-        return dictionary, load_dag(grammar, task, coarsen_threshold)
+        return dictionary, load_dag(grammar, coarsen_threshold)
 
     (dictionary, dag), init_s = _timed(init)
     _, compute_s = _timed(lambda: run_task(task, dag, dictionary, variant, l, top_k))
@@ -534,7 +534,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
-    p.add_argument("--coarsen", type=int, default=None, help="node coarsening threshold")
+    p.add_argument(
+        "--coarsen", type=int, default=None,
+        help="inline rules of fewer than N elements first (default: none)",
+    )
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_analyze)
@@ -552,7 +555,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)])
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
-    p.add_argument("--coarsen", type=int, default=None)
+    p.add_argument(
+        "--coarsen", type=int, default=None,
+        help="inline rules of fewer than N elements first (default: none)",
+    )
     p.add_argument("--workdir", help="artifact directory (default: a temp dir)")
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_bench)

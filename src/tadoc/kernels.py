@@ -1,23 +1,28 @@
 """Analytics kernels that run directly on the grammar DAG.
 
-Count-style kernels use the merged-edge tables; order-sensitive kernels walk
-the ordered element lists depth-first, which visits words in their original
-document order. Preorder phases walk `dag.topo`, which lists every parent
-before its children: the in-edge gate is applied once, when the DAG is
-loaded, and a node's frequency or file set is complete when its turn comes.
+Count-style kernels use the merged-edge tables. Order-sensitive kernels
+also run on the grammar: one bottom-up pass keeps each rule's first and
+last l-1 words (its edge summary) and counts the l-word windows that cross
+the boundaries between its elements (its crossing table); a file's window
+counts are its root segment's crossing windows plus each rule's crossing
+table times the rule's frequency in that segment. Preorder phases walk
+`dag.topo`, which lists every parent before its children: the in-edge gate
+is applied once, when the DAG is loaded, and a node's frequency or file set
+is complete when its turn comes.
 
-The CLI, `tadoc bench` and the scheduler share `load_dag` (with the
-coarsening default) and the finalizers `rank_term_vectors`, `tfidf_scores`
-and `rank_gram_files`; the CLI and `tadoc bench` also share `run_task`
-(task to kernel), while the scheduler's workers return the per-file tables
-of `_per_file_code_counts` and `sequence_count`.
+The CLI, `tadoc bench` and the scheduler share `load_dag` and the
+finalizers `rank_term_vectors`, `tfidf_scores`, `gram_counts` and
+`rank_gram_files`; the CLI and `tadoc bench` also share `run_task` (task
+to kernel), while the scheduler's workers return the per-file tables of
+`_per_file_code_counts` and `_gram_tables`.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
-from collections import Counter, deque
+from collections import Counter
+from operator import itemgetter
 
 from .bitmap import make_file_set
 from .corpus import Dictionary
@@ -39,15 +44,12 @@ ORDER_SENSITIVE = ("sequence_count", "ranked_inverted_index")
 INDEX_VARIANTS = ("postorder", "preorder_set", "preorder_bitmap", "preorder_twolevel")
 
 
-def load_dag(grammar: Grammar, task: str, threshold: int | None) -> Dag:
-    """The DAG `task` runs on: merged edges, coarsened at `threshold`.
+def load_dag(grammar: Grammar, threshold: int | None = None) -> Dag:
+    """The DAG every task runs on: merged edges, coarsened at `threshold`.
 
-    With threshold None, order-sensitive tasks coarsen at 100 elements and
-    the others run on the DAG as loaded.
+    With threshold None or 0 the DAG runs as loaded.
     """
     dag = load_merge_graph(grammar)
-    if threshold is None:
-        threshold = 100 if task in ORDER_SENSITIVE else 0
     return coarsen(dag, threshold) if threshold else dag
 
 
@@ -253,125 +255,185 @@ def rank_term_vectors(per_file, top_k: int | None) -> list[list[tuple[str, int]]
 # -- sequence count -----------------------------------------------------------
 
 
-def _segment_words(dag: Dag, span: tuple[int, int], instances, rule_done=None):
-    """Depth-first word stream of one file segment.
-
-    Yields (word code, instance token, rule id); the instance token is fresh
-    per rule occurrence so windows spanning adjacent occurrences of the same
-    rule are still recognized as crossing. The segment frame itself has
-    rule id None. rule_done fires when a rule body has been fully walked.
-    """
-    nodes = dag.nodes
-    n = dag.n_terminals
-    root = nodes[dag.root_id]
-    stack = [[root.elements, span[0], span[1], 0, None]]
-    while stack:
-        frame = stack[-1]
-        elements, i, end = frame[0], frame[1], frame[2]
-        if i >= end:
-            stack.pop()
-            if frame[4] is not None and rule_done is not None:
-                rule_done(frame[4])
-            continue
-        sym = elements[i]
-        frame[1] = i + 1
-        if sym < n:
-            yield sym, frame[3], frame[4]
-        else:
-            body = nodes[sym].elements
-            stack.append([body, 0, len(body), next(instances), sym])
-
-
 def depth_first_words(dag: Dag):
     """Word codes of all files in traversal order (separators skipped)."""
-    instances = itertools.count(1)
-    for span in dag.segments:
-        for code, _, _ in _segment_words(dag, span, instances):
-            yield code
+    nodes = dag.nodes
+    n = dag.n_terminals
+    root = nodes[dag.root_id].elements
+    for start, end in dag.segments:
+        stack = [iter(root[start:end])]
+        while stack:
+            for sym in stack[-1]:
+                if sym < n:
+                    yield sym
+                else:
+                    stack.append(iter(nodes[sym].elements))
+                    break
+            else:
+                stack.pop()
+
+
+def _crossing_windows(
+    elements: list[int], n: int, edges: dict[int, list[int]], l: int
+) -> tuple[list[int], Counter]:
+    """Edge summary and crossing table of one run of body elements.
+
+    Each element stands for its words: a terminal for itself, a rule for
+    its edge summary from `edges`. The crossing table counts the l-word
+    windows that start in the last l-1 words of one element and end in a
+    later one; every other window lies inside one rule occurrence. Such a
+    window reaches at most l-1 words into any element, so it never needs
+    more than a rule's first and last l-1 words.
+    """
+    k = l - 1
+    words: list[int] = []
+    starts: list[int] = []
+    for sym in elements:
+        begin = len(words)
+        if sym < n:
+            words.append(sym)
+            starts.append(begin)
+        else:
+            edge = edges[sym]
+            words += edge
+            end = len(words)
+            starts.extend(range(max(begin, end - k), end))
+    last = len(words) - l
+    table = Counter(tuple(words[i : i + l]) for i in starts if i <= last)
+    edge = words if len(words) <= 2 * k else words[:k] + words[-k:]
+    return edge, table
+
+
+def _gram_tables(dag: Dag, l: int) -> list[Counter]:
+    """Per file: counts of every l-word window, keyed by word-code tuples.
+
+    One bottom-up pass gives each rule its edge summary (its words when
+    there are at most 2(l-1), else its first and last l-1) and its crossing
+    table. A file's table is the crossing table of its root segment plus
+    each rule's crossing table times the rule's frequency in the segment;
+    frequencies are pushed down only through the rules the segment reaches.
+    """
+    if l < 2:
+        raise ValueError(f"sequence length must be >= 2, got {l}")
+    nodes = dag.nodes
+    n = dag.n_terminals
+    topo = dag.topo
+    edges: dict[int, list[int]] = {}
+    # rules with a window in their expansion: (such children, crossing table)
+    counted: dict[int, tuple[list[tuple[int, int]], Counter]] = {}
+    for rid in reversed(topo):
+        if rid != dag.root_id:
+            edges[rid], crossing = _crossing_windows(nodes[rid].elements, n, edges, l)
+            children = [
+                (child, mult)
+                for child, mult in nodes[rid].child_counts.items()
+                if child in counted
+            ]
+            if crossing or children:
+                counted[rid] = (children, crossing)
+
+    position = {rid: i for i, rid in enumerate(topo)}
+    root = nodes[dag.root_id].elements
+    tables = []
+    for start, end in dag.segments:
+        segment = root[start:end]
+        _, table = _crossing_windows(segment, n, edges, l)
+        freq: dict[int, int] = {}
+        for sym in segment:
+            if sym in counted:
+                freq[sym] = freq.get(sym, 0) + 1
+        # topo lists parents first: a rule's frequency is complete when popped
+        heap = [position[rid] for rid in freq]
+        heapq.heapify(heap)
+        while heap:
+            rid = topo[heapq.heappop(heap)]
+            f = freq[rid]
+            children, crossing = counted[rid]
+            for child, mult in children:
+                if child in freq:
+                    freq[child] += f * mult
+                else:
+                    freq[child] = f * mult
+                    heapq.heappush(heap, position[child])
+            for gram, count in crossing.items():
+                table[gram] += count * f
+        tables.append(table)
+    return tables
+
+
+def _gram_names(tables: list[Counter], dictionary: Dictionary) -> dict[tuple, str]:
+    """The words of each distinct gram joined with "_", decoded once."""
+    words = dictionary.words
+    names: dict[tuple, str] = {}
+    for table in tables:
+        for gram in table:
+            if gram not in names:
+                names[gram] = "_".join([words[code] for code in gram])
+    return names
+
+
+def gram_counts(tables: list[Counter], dictionary: Dictionary) -> list[dict[str, int]]:
+    """Per file: {gram: count} sorted by gram, from code-keyed tables.
+
+    Grams that decode to the same string (words may contain "_") have their
+    counts summed, as in the oracle.
+    """
+    names = _gram_names(tables, dictionary)
+    out = []
+    for table in tables:
+        pairs = sorted(zip(map(names.__getitem__, table), table.values()))
+        counts = dict(pairs)
+        if len(counts) < len(pairs):
+            counts = {}
+            for name, count in pairs:
+                counts[name] = counts.get(name, 0) + count
+        out.append(counts)
+    return out
 
 
 def sequence_count(
     dag: Dag, dictionary: Dictionary, l: int = 3
 ) -> list[dict[str, int]]:
-    """Per file: counts of every l-word window, via the two-level tables.
-
-    Windows that stay inside one rule occurrence are counted once in that
-    rule's local table and folded in with the rule's per-segment frequency;
-    windows crossing occurrences go straight to the per-file global table.
-    """
-    if l < 2:
-        raise ValueError(f"sequence length must be >= 2, got {l}")
-    nodes = dag.nodes
-    local_tables: dict[int, Counter] = {}
-    ready: set[int] = set()
-    instances = itertools.count(1)
-    results = []
-    for span in dag.segments:
-        global_table: Counter = Counter()
-        window: deque = deque(maxlen=l)
-        for item in _segment_words(dag, span, instances, ready.add):
-            window.append(item)
-            if len(window) < l:
-                continue
-            first = window[0]
-            instance = first[1]
-            if all(entry[1] == instance for entry in window):
-                rid = first[2]
-                if rid is not None and rid not in ready:
-                    gram = tuple(entry[0] for entry in window)
-                    local_tables.setdefault(rid, Counter())[gram] += 1
-                elif rid is None:
-                    global_table[tuple(entry[0] for entry in window)] += 1
-            else:
-                global_table[tuple(entry[0] for entry in window)] += 1
-
-        # per-segment rule frequencies, then fold the local tables in
-        segment_freq: Counter = Counter()
-        root = nodes[dag.root_id]
-        for sym in root.elements[span[0] : span[1]]:
-            if sym >= dag.n_terminals:
-                segment_freq[sym] += 1
-        for rid in dag.topo:
-            f = segment_freq.get(rid)
-            if f:
-                for child, mult in nodes[rid].child_counts.items():
-                    segment_freq[child] += f * mult
-        for rid, f in segment_freq.items():
-            table = local_tables.get(rid)
-            if table:
-                for gram, count in table.items():
-                    global_table[gram] += count * f
-        results.append(global_table)
-
-    words = dictionary.words
-    out = []
-    for table in results:
-        decoded = {
-            "_".join(words[code] for code in gram): table[gram] for gram in table
-        }
-        out.append({gram: decoded[gram] for gram in sorted(decoded)})
-    return out
+    """Per file: counts of every l-word window, keyed by the joined words."""
+    return gram_counts(_gram_tables(dag, l), dictionary)
 
 
 def ranked_inverted_index(
     dag: Dag, dictionary: Dictionary, l: int = 3
 ) -> dict[str, list[tuple[int, int]]]:
     """Per l-gram: (file, count) sorted by count descending, ties by file."""
-    per_file = sequence_count(dag, dictionary, l)
-    return rank_gram_files(per_file)
+    return rank_gram_files(_gram_tables(dag, l), dictionary)
 
 
 def rank_gram_files(
-    per_file: list[dict[str, int]],
+    tables: list[Counter], dictionary: Dictionary
 ) -> dict[str, list[tuple[int, int]]]:
+    """Per gram: (file, count) by count descending, ties by file.
+
+    Takes code-keyed per-file tables; grams that decode to the same string
+    have their counts summed per file, as in `gram_counts`.
+    """
+    names = _gram_names(tables, dictionary)
     by_gram: dict[str, list[tuple[int, int]]] = {}
-    for file_id, table in enumerate(per_file):
-        for gram, count in table.items():
-            by_gram.setdefault(gram, []).append((file_id, count))
-    return {
-        gram: sorted(by_gram[gram], key=lambda item: (-item[1], item[0]))
-        for gram in sorted(by_gram)
-    }
+    for file_id, table in enumerate(tables):
+        for gram, count in zip(map(names.__getitem__, table), table.values()):
+            postings = by_gram.get(gram)
+            if postings is None:
+                by_gram[gram] = [(file_id, count)]
+            elif postings[-1][0] == file_id:
+                # another code gram of this file with the same name
+                postings[-1] = (file_id, postings[-1][1] + count)
+            else:
+                postings.append((file_id, count))
+    ranked = {}
+    for gram in sorted(by_gram):
+        postings = by_gram[gram]
+        if len(postings) > 1:
+            # postings are in file order and the sort is stable, also
+            # reversed: ties stay ordered by file
+            postings.sort(key=itemgetter(1), reverse=True)
+        ranked[gram] = postings
+    return ranked
 
 
 # -- tfidf ---------------------------------------------------------------------

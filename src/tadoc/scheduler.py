@@ -148,9 +148,9 @@ def _worker(dictionary, units, task, l, threshold):
         symbols.extend(codes)
         symbols.append(word_count + index)
     grammar = infer_grammar(symbols, n_terminals, word_count)
-    dag = kernels.load_dag(grammar, task, threshold)
+    dag = kernels.load_dag(grammar, threshold)
     if task in ORDER_SENSITIVE:
-        return kernels.sequence_count(dag, dictionary, l)
+        return kernels._gram_tables(dag, l)
     return kernels._per_file_code_counts(dag)
 
 
@@ -196,9 +196,9 @@ def run_parallel(
 def _finish(task, tables, dictionary, top_k):
     """The result of `task` from each file's summed table."""
     if task == "sequence_count":
-        return [{gram: table[gram] for gram in sorted(table)} for table in tables]
+        return kernels.gram_counts(tables, dictionary)
     if task == "ranked_inverted_index":
-        return kernels.rank_gram_files(tables)
+        return kernels.rank_gram_files(tables, dictionary)
     words = dictionary.words
     if task == "term_vector":
         return kernels.rank_term_vectors(

@@ -93,6 +93,30 @@ def test_range_errors(kind):
         bitmap.test(-1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        PlainFileSet,
+        SingleLayerBitmap,
+        DoubleLayerBitmap,
+        lambda universe: DoubleLayerBitmap(universe, block_bits=7),
+    ],
+    ids=["set", "bitmap", "twolevel", "twolevel7"],
+)
+def test_iter_set_lists_members_in_order(make):
+    rng = random.Random(91)
+    cases = [(200, {0, 6, 7, 63, 64, 127, 128, 129, 199})]
+    for universe in (1, 63, 64, 65, 300, 1300):
+        for _ in range(15):
+            density = rng.choice((0.01, 0.2, 0.9))
+            cases.append((universe, {i for i in range(universe) if rng.random() < density}))
+    for universe, members in cases:
+        file_set = make(universe)
+        for file_id in rng.sample(sorted(members), len(members)):
+            file_set.set(file_id)
+        assert list(file_set.iter_set()) == sorted(members), (universe, members)
+
+
 def test_allocation_stays_bounded():
     rng = random.Random(5)
     universe = 10_000

@@ -102,9 +102,7 @@ def _file_streams(files):
 
 
 def run_task_sequential(files, task, l=3):
-    dictionary, encoded, dag = build_dag(
-        files, threshold=100 if task in ("sequence_count", "ranked_inverted_index") else 0
-    )
+    dictionary, encoded, dag = build_dag(files)
     if task == "word_count":
         return kernels.word_count_preorder(dag, dictionary)
     if task == "sort":

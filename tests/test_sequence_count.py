@@ -1,0 +1,118 @@
+"""Exactness of the order-sensitive kernels, which count windows on the grammar.
+
+Every table is compared with the oracle, which slides the window over the
+plain token lists, for l = 2..8: tables and their order must be equal.
+"""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import build_dag
+from tadoc import kernels, oracle
+from tadoc.corpus import Dictionary, encode_corpus, tokenize
+from tadoc.dag import load_merge_graph
+from tadoc.scheduler import run_parallel
+from tadoc.sequitur import Grammar
+
+LENGTHS = range(2, 9)
+
+
+def _items(result):
+    """Results as nested item lists, so that the order of keys is compared too."""
+    if isinstance(result, dict):
+        return list(result.items())
+    return [list(table.items()) for table in result]
+
+
+def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3)):
+    for l in LENGTHS:
+        counts = _items(oracle.sequence_count(files, l))
+        ranked = _items(oracle.ranked_inverted_index(files, l))
+        for threshold in thresholds:
+            dictionary, _, dag = build_dag(files, threshold)
+            got = kernels.sequence_count(dag, dictionary, l)
+            assert _items(got) == counts, (threshold, l)
+            got = kernels.ranked_inverted_index(dag, dictionary, l)
+            assert _items(got) == ranked, (threshold, l)
+        dictionary, _ = encode_corpus(files)
+        streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
+        for n in workers:
+            got = run_parallel(dictionary, streams, "sequence_count", n, l=l)
+            assert _items(got) == counts, (n, l)
+            got = run_parallel(dictionary, streams, "ranked_inverted_index", n, l=l)
+            assert _items(got) == ranked, (n, l)
+
+
+@st.composite
+def small_alphabet_corpora(draw):
+    """1-4 files over 2 or 3 words, so that Sequitur rules repeat heavily."""
+    alphabet = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    files = draw(
+        st.lists(
+            st.lists(st.sampled_from(alphabet), max_size=80), min_size=1, max_size=4
+        )
+    )
+    assume(any(files))
+    return [(f"f{i}", " ".join(tokens)) for i, tokens in enumerate(files)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_alphabet_corpora())
+def test_small_alphabet_corpora_match_oracle(files):
+    assert_exact(files)
+
+
+def test_empty_file():
+    assert_exact([("f0", ""), ("f1", "a b c a b c a b c"), ("f2", "")])
+
+
+def test_files_shorter_than_window():
+    assert_exact([("f0", "a"), ("f1", "a b"), ("f2", "a b c d a b c d"), ("f3", "d c")])
+
+
+def test_file_that_is_one_rule_occurrence():
+    files = [("f0", "p q r s t"), ("f1", "p q r s t"), ("f2", "t p q r s t p")]
+    dictionary, _, dag = build_dag(files)
+    start, end = dag.segments[1]
+    segment = dag.nodes[dag.root_id].elements[start:end]
+    assert len(segment) == 1 and dag.is_rule(segment[0])
+    assert_exact(files)
+
+
+def test_adjacent_occurrences_of_one_rule():
+    assert_exact([("f0", "a b " * 16), ("f1", "a b a b a b a"), ("f2", "b " + "a b " * 9)])
+
+
+def test_one_word_repeated():
+    assert_exact([("f0", "a a a a a"), ("f1", "a " * 37), ("f2", "a a")])
+
+
+def test_words_with_underscores_sum_like_the_oracle():
+    # (a_b, c, x) and (a, b_c, x) both read a_b_c_x
+    files = [("f0", "a_b c x a b_c x"), ("f1", "a b_c x")]
+    dictionary, _, dag = build_dag(files)
+    assert kernels.sequence_count(dag, dictionary, 3)[0]["a_b_c_x"] == 2
+    assert kernels.ranked_inverted_index(dag, dictionary, 3)["a_b_c_x"] == [(0, 2), (1, 1)]
+    assert_exact(files)
+
+
+def test_doubling_grammar_is_counted_without_expansion():
+    # R0 -> a b, Ri -> Ri-1 Ri-1, root -> R39 separator: (a b) repeated
+    # 2^39 times, 2^40 tokens; the counts follow from the grammar alone
+    depth = 40
+    n = 3  # a, b and one file separator
+    rules = [[n + depth, 2], [0, 1]]
+    rules += [[n + i, n + i] for i in range(1, depth)]
+    dag = load_merge_graph(Grammar(n, 2, rules))
+    dictionary = Dictionary(["a", "b"], 1)
+    half = 2 ** (depth - 1)
+    expected = {
+        2: {"a_b": half, "b_a": half - 1},
+        3: {"a_b_a": half - 1, "b_a_b": half - 1},
+        5: {"a_b_a_b_a": half - 2, "b_a_b_a_b": half - 2},
+    }
+    for l, counts in expected.items():
+        assert kernels.sequence_count(dag, dictionary, l) == [counts]
+        ranked = kernels.ranked_inverted_index(dag, dictionary, l)
+        assert ranked == {gram: [(0, count)] for gram, count in counts.items()}
