@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gzip as gzip_mod
+import itertools
 import json
 import os
 import statistics
@@ -19,8 +20,8 @@ import time
 from . import __version__, oracle
 from .corpus import CorpusError, decode_stream, encode_corpus, tokenize
 from .container import ContainerError, read_container, read_header, write_container
-from .dag import extract_features
-from .kernels import INDEX_VARIANTS, TASKS, load_dag, run_task
+from .dag import extract_features, load_merge_graph
+from .kernels import INDEX_VARIANTS, TASKS, run_task
 from .scheduler import run_parallel, select_variant
 from .sequitur import expand, infer_grammar
 
@@ -146,12 +147,19 @@ def serialize_json(task: str, result, names: list[str]) -> str:
     )
 
 
+# TSV rows per write: one write per row costs more than the formatting, and
+# joining the whole output at once raises the peak memory of large results
+_EMIT_ROWS = 4096
+
+
 def _emit(task, result, names, output):
     if output == "json":
         print(serialize_json(task, result, names))
-    else:
-        for line in serialize_tsv(task, result, names):
-            print(line)
+        return
+    rows = serialize_tsv(task, result, names)
+    while chunk := list(itertools.islice(rows, _EMIT_ROWS)):
+        chunk.append("")
+        sys.stdout.write("\n".join(chunk))
 
 
 # -- oracle dispatch -----------------------------------------------------------------
@@ -259,16 +267,10 @@ def cmd_analyze(args) -> int:
             else:
                 current.append(sym)
         result = run_parallel(
-            dictionary,
-            streams,
-            task,
-            args.workers,
-            l=args.l,
-            top_k=args.top_k,
-            coarsen_threshold=args.coarsen,
+            dictionary, streams, task, args.workers, l=args.l, top_k=args.top_k
         )
     else:
-        dag = load_dag(grammar, args.coarsen)
+        dag = load_merge_graph(grammar)
         result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0
@@ -304,12 +306,12 @@ def _timed(fn):
     return value, time.perf_counter() - start
 
 
-def _bench_cd(task, container_path, variant, l, top_k, coarsen_threshold):
+def _bench_cd(task, container_path, variant, l, top_k):
     (data, io_s) = _timed(lambda: open(container_path, "rb").read())
 
     def init():
         dictionary, grammar, _ = read_container(data)
-        return dictionary, load_dag(grammar, coarsen_threshold)
+        return dictionary, load_merge_graph(grammar)
 
     (dictionary, dag), init_s = _timed(init)
     _, compute_s = _timed(lambda: run_task(task, dag, dictionary, variant, l, top_k))
@@ -388,10 +390,7 @@ def cmd_bench(args) -> int:
         for _ in range(args.repeat):
             if engine == "cd":
                 runs.append(
-                    _bench_cd(
-                        task, container_path, variant, args.l, args.top_k,
-                        args.coarsen,
-                    )
+                    _bench_cd(task, container_path, variant, args.l, args.top_k)
                 )
             elif engine == "baseline":
                 runs.append(_bench_raw(task, pairs, args.l, args.top_k, gz=False))
@@ -534,10 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
-    p.add_argument(
-        "--coarsen", type=int, default=None,
-        help="inline rules of fewer than N elements first (default: none)",
-    )
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_analyze)
@@ -555,10 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)])
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
-    p.add_argument(
-        "--coarsen", type=int, default=None,
-        help="inline rules of fewer than N elements first (default: none)",
-    )
     p.add_argument("--workdir", help="artifact directory (default: a temp dir)")
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_bench)

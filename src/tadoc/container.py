@@ -213,7 +213,10 @@ def _parse_header(payload, version: int, deflate: bool) -> tuple[ContainerHeader
         name_len, pos = read_varint(payload, pos)
         if pos + name_len > len(payload):
             raise TruncatedContainerError("file name runs past end of payload")
-        name = bytes(payload[pos : pos + name_len]).decode("utf-8")
+        try:
+            name = bytes(payload[pos : pos + name_len]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"file name is not valid UTF-8: {exc}") from None
         pos += name_len
         token_count, pos = read_varint(payload, pos)
         separator, pos = read_varint(payload, pos)
@@ -281,7 +284,10 @@ def read_container(data: bytes) -> tuple[Dictionary, Grammar, ContainerHeader]:
         word_len, pos = read_varint(payload, pos)
         if pos + word_len > len(payload):
             raise TruncatedContainerError("dictionary word runs past end of payload")
-        words.append(bytes(payload[pos : pos + word_len]).decode("utf-8"))
+        try:
+            words.append(bytes(payload[pos : pos + word_len]).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"dictionary word is not valid UTF-8: {exc}") from None
         pos += word_len
     separator_count = header.n_terminals - header.word_count
     dictionary = Dictionary(words, separator_count)
@@ -328,6 +334,10 @@ def _verify_features(header, dictionary: Dictionary, grammar: Grammar) -> None:
         raise FeatureMismatchError(
             f"token count {header.total_tokens} != recomputed {recomputed}"
         )
+    root = grammar.rules[0]
+    separators = range(grammar.n_words, grammar.n_terminals)
+    if root and separators and root[-1] not in separators:
+        raise ContainerError("root symbols after the last file separator")
 
 
 def _grammar_token_count(grammar: Grammar) -> int:

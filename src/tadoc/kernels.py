@@ -1,20 +1,21 @@
 """Analytics kernels that run directly on the grammar DAG.
 
-Count-style kernels use the merged-edge tables. Order-sensitive kernels
-also run on the grammar: one bottom-up pass keeps each rule's first and
-last l-1 words (its edge summary) and counts the l-word windows that cross
-the boundaries between its elements (its crossing table); a file's window
-counts are its root segment's crossing windows plus each rule's crossing
-table times the rule's frequency in that segment. Preorder phases walk
-`dag.topo`, which lists every parent before its children: the in-edge gate
-is applied once, when the DAG is loaded, and a node's frequency or file set
-is complete when its turn comes.
+Whole-corpus word counts and the inverted index fold or push the
+merged-edge tables over `dag.topo`, which lists every parent before its
+children: the in-edge gate is applied once, when the DAG is loaded, and a
+node's frequency or file set is complete when its turn comes.
 
-The CLI, `tadoc bench` and the scheduler share `load_dag` and the
-finalizers `rank_term_vectors`, `tfidf_scores`, `gram_counts` and
-`rank_gram_files`; the CLI and `tadoc bench` also share `run_task` (task
-to kernel), while the scheduler's workers return the per-file tables of
-`_per_file_code_counts` and `_gram_tables`.
+Per-file tasks share one push-down (`_push_down`): a file's table is what
+its root segment holds directly plus each reached rule's own table times
+the rule's frequency in the segment. For word counts a rule's own table is
+its terminal counts. For l-word windows one bottom-up pass first keeps each
+rule's first and last l-1 words (its edge summary) and counts the windows
+that cross the boundaries between its elements (its crossing table).
+
+`file_tables` gives the per-file tables a task needs and `finish` turns
+them into its result; the per-file kernels and `run_parallel`, whose
+workers return `file_tables`, share both. The CLI and `tadoc bench` share
+`run_task` (task to kernel).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from operator import itemgetter
 
 from .bitmap import make_file_set
 from .corpus import Dictionary
-from .dag import Dag, coarsen, load_merge_graph, node_frequencies
-from .sequitur import Grammar
+from .dag import Dag, node_frequencies
 
 TASKS = (
     "word_count",
@@ -44,15 +44,6 @@ ORDER_SENSITIVE = ("sequence_count", "ranked_inverted_index")
 INDEX_VARIANTS = ("postorder", "preorder_set", "preorder_bitmap", "preorder_twolevel")
 
 
-def load_dag(grammar: Grammar, threshold: int | None = None) -> Dag:
-    """The DAG every task runs on: merged edges, coarsened at `threshold`.
-
-    With threshold None or 0 the DAG runs as loaded.
-    """
-    dag = load_merge_graph(grammar)
-    return coarsen(dag, threshold) if threshold else dag
-
-
 def run_task(
     task: str,
     dag: Dag,
@@ -61,10 +52,12 @@ def run_task(
     l: int = 3,
     top_k: int | None = None,
 ):
-    """Run one of TASKS on `dag` with the given traversal variant."""
+    """Run one of TASKS on `dag`; `variant` picks the inverted-index traversal.
+
+    Word count always runs preorder, which is faster than postorder on
+    every corpus measured.
+    """
     if task == "word_count":
-        if variant == "postorder":
-            return word_count_postorder(dag, dictionary)
         return word_count_preorder(dag, dictionary)
     if task == "sort":
         return sort_words(dag, dictionary)
@@ -84,8 +77,8 @@ def run_task(
 # -- word count / sort --------------------------------------------------------
 
 
-def _subtree_code_counts(dag: Dag) -> dict[int, Counter]:
-    """Full word-code count table per node, children folded before parents."""
+def word_count_postorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
+    """Word totals from a full count table per node, children folded first."""
     tables: dict[int, Counter] = {}
     for rid in reversed(dag.topo):
         node = dag.nodes[rid]
@@ -98,12 +91,7 @@ def _subtree_code_counts(dag: Dag) -> dict[int, Counter]:
                 for code, count in child_table.items():
                     table[code] += count * mult
         tables[rid] = table
-    return tables
-
-
-def word_count_postorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
-    counts = _subtree_code_counts(dag)[dag.root_id]
-    return _decode_counts(counts, dictionary)
+    return _decode_counts(tables[dag.root_id], dictionary)
 
 
 def word_count_preorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
@@ -201,55 +189,140 @@ def _inverted_preorder(dag: Dag, kind: str) -> dict[int, set[int]]:
     return index
 
 
-# -- term vector --------------------------------------------------------------
+# -- per-file tables -----------------------------------------------------------
+
+
+def file_tables(task: str, dag: Dag, l: int = 3) -> list[Counter]:
+    """Per file: l-word window counts for the order-sensitive tasks, word-code
+    counts for the others; `finish` turns them into the task's result."""
+    if task in ORDER_SENSITIVE:
+        return _gram_tables(dag, l)
+    return _per_file_code_counts(dag)
+
+
+def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Counter]:
+    """Per file: its seed table plus each reached rule's `own` table times the
+    rule's frequency in the file's root segment.
+
+    Frequencies are pushed down, parents first, only through the rules the
+    segment reaches; rules with nothing to count in their expansion are
+    skipped, so no loop runs over all of `dag.topo` per file. The seed
+    tables are added to in place and returned.
+    """
+    nodes = dag.nodes
+    topo = dag.topo
+    # rules with something to count in their expansion: (such children, own table)
+    counted: dict[int, tuple[list[tuple[int, int]], dict]] = {}
+    for rid in reversed(topo):
+        if rid != dag.root_id:
+            children = [
+                (child, mult)
+                for child, mult in nodes[rid].child_counts.items()
+                if child in counted
+            ]
+            if own[rid] or children:
+                counted[rid] = (children, own[rid])
+
+    position = {rid: i for i, rid in enumerate(topo)}
+    root = nodes[dag.root_id].elements
+    for (start, end), table in zip(dag.segments, seeds):
+        freq: dict[int, int] = {}
+        for sym in root[start:end]:
+            if sym in counted:
+                freq[sym] = freq.get(sym, 0) + 1
+        # topo lists parents first: a rule's frequency is complete when popped
+        heap = [position[rid] for rid in freq]
+        heapq.heapify(heap)
+        while heap:
+            rid = topo[heapq.heappop(heap)]
+            f = freq[rid]
+            children, rule_table = counted[rid]
+            for child, mult in children:
+                if child in freq:
+                    freq[child] += f * mult
+                else:
+                    freq[child] = f * mult
+                    heapq.heappush(heap, position[child])
+            for key, count in rule_table.items():
+                table[key] += count * f
+    return seeds
 
 
 def _per_file_code_counts(dag: Dag) -> list[Counter]:
-    """Word-code counts per file: child tables folded into each segment."""
-    tables = _subtree_code_counts(dag)
-    root = dag.nodes[dag.root_id]
-    per_file = []
-    for start, end in dag.segments:
-        counts: Counter = Counter()
-        child_occurrences: Counter = Counter()
-        for sym in root.elements[start:end]:
-            if sym < dag.n_terminals:
-                counts[sym] += 1
-            else:
-                child_occurrences[sym] += 1
-        for child, mult in child_occurrences.items():
-            for code, count in tables[child].items():
-                counts[code] += count * mult
-        per_file.append(counts)
-    return per_file
+    """Word-code counts per file: the segment's own words plus each reached
+    rule's terminal counts times its frequency in the segment."""
+    n = dag.n_terminals
+    root = dag.nodes[dag.root_id].elements
+    seeds = [
+        Counter(sym for sym in root[start:end] if sym < n)
+        for start, end in dag.segments
+    ]
+    own = {rid: node.term_counts for rid, node in dag.nodes.items()}
+    return _push_down(dag, own, seeds)
+
+
+def finish(
+    task: str, tables: list[Counter], dictionary: Dictionary, top_k: int | None = None
+):
+    """The result of `task` from the per-file tables of `file_tables`.
+
+    top_k keeps each file's first top_k terms of a term vector; None keeps
+    them all.
+    """
+    if task == "sequence_count":
+        return gram_counts(tables, dictionary)
+    if task == "ranked_inverted_index":
+        return rank_gram_files(tables, dictionary)
+    words = dictionary.words
+    if task == "term_vector":
+        if top_k is not None and top_k < 0:
+            raise ValueError(f"top_k must be >= 0, got {top_k}")
+        return [
+            sorted(
+                ((words[code], count) for code, count in table.items()),
+                key=lambda item: (-item[1], item[0]),
+            )[:top_k]
+            for table in tables
+        ]
+    if task == "tfidf":
+        # the document frequency of a word is the number of files counting it
+        df: Counter = Counter()
+        for table in tables:
+            df.update(table.keys())
+        file_count = len(tables)
+        scores: dict[int, dict[int, float]] = {}
+        for file_id, table in enumerate(tables):
+            for code, count in table.items():
+                scores.setdefault(code, {})[file_id] = count * math.log(
+                    file_count / df[code]
+                )
+        return {words[c]: scores[c] for c in sorted(scores, key=words.__getitem__)}
+    if task == "inverted_index":
+        files: dict[int, list[int]] = {}
+        for file_id, table in enumerate(tables):
+            for code in table:
+                files.setdefault(code, []).append(file_id)
+        return {words[c]: files[c] for c in sorted(files, key=words.__getitem__)}
+    totals: Counter = Counter()
+    for table in tables:
+        totals.update(table)
+    counts = _decode_counts(totals, dictionary)
+    return list(counts.items()) if task == "sort" else counts
+
+
+# -- term vector and tfidf -------------------------------------------------------
 
 
 def term_vector(
     dag: Dag, dictionary: Dictionary, top_k: int | None = None
 ) -> list[list[tuple[str, int]]]:
     """Per file: (word, count) sorted by count descending, ties by word."""
-    words = dictionary.words
-    return rank_term_vectors(
-        (
-            ((words[code], count) for code, count in counts.items())
-            for counts in _per_file_code_counts(dag)
-        ),
-        top_k,
-    )
+    return finish("term_vector", _per_file_code_counts(dag), dictionary, top_k)
 
 
-def rank_term_vectors(per_file, top_k: int | None) -> list[list[tuple[str, int]]]:
-    """Rank each file's (word, count) pairs: count descending, ties by word.
-
-    top_k keeps each file's first top_k terms; None keeps them all.
-    """
-    if top_k is not None and top_k < 0:
-        raise ValueError(f"top_k must be >= 0, got {top_k}")
-    out = []
-    for pairs in per_file:
-        ranked = sorted(pairs, key=lambda item: (-item[1], item[0]))
-        out.append(ranked[:top_k] if top_k is not None else ranked)
-    return out
+def tfidf(dag: Dag, dictionary: Dictionary) -> dict[str, dict[int, float]]:
+    """Raw in-file term frequency times ln(file count / document frequency)."""
+    return finish("tfidf", _per_file_code_counts(dag), dictionary)
 
 
 # -- sequence count -----------------------------------------------------------
@@ -309,56 +382,27 @@ def _gram_tables(dag: Dag, l: int) -> list[Counter]:
 
     One bottom-up pass gives each rule its edge summary (its words when
     there are at most 2(l-1), else its first and last l-1) and its crossing
-    table. A file's table is the crossing table of its root segment plus
-    each rule's crossing table times the rule's frequency in the segment;
-    frequencies are pushed down only through the rules the segment reaches.
+    table. A file's table is the crossing windows of its root segment plus
+    each reached rule's crossing table times the rule's frequency in the
+    segment.
     """
     if l < 2:
         raise ValueError(f"sequence length must be >= 2, got {l}")
     nodes = dag.nodes
     n = dag.n_terminals
-    topo = dag.topo
     edges: dict[int, list[int]] = {}
-    # rules with a window in their expansion: (such children, crossing table)
-    counted: dict[int, tuple[list[tuple[int, int]], Counter]] = {}
-    for rid in reversed(topo):
+    crossing: dict[int, Counter] = {}
+    for rid in reversed(dag.topo):
         if rid != dag.root_id:
-            edges[rid], crossing = _crossing_windows(nodes[rid].elements, n, edges, l)
-            children = [
-                (child, mult)
-                for child, mult in nodes[rid].child_counts.items()
-                if child in counted
-            ]
-            if crossing or children:
-                counted[rid] = (children, crossing)
-
-    position = {rid: i for i, rid in enumerate(topo)}
+            edges[rid], crossing[rid] = _crossing_windows(
+                nodes[rid].elements, n, edges, l
+            )
     root = nodes[dag.root_id].elements
-    tables = []
-    for start, end in dag.segments:
-        segment = root[start:end]
-        _, table = _crossing_windows(segment, n, edges, l)
-        freq: dict[int, int] = {}
-        for sym in segment:
-            if sym in counted:
-                freq[sym] = freq.get(sym, 0) + 1
-        # topo lists parents first: a rule's frequency is complete when popped
-        heap = [position[rid] for rid in freq]
-        heapq.heapify(heap)
-        while heap:
-            rid = topo[heapq.heappop(heap)]
-            f = freq[rid]
-            children, crossing = counted[rid]
-            for child, mult in children:
-                if child in freq:
-                    freq[child] += f * mult
-                else:
-                    freq[child] = f * mult
-                    heapq.heappush(heap, position[child])
-            for gram, count in crossing.items():
-                table[gram] += count * f
-        tables.append(table)
-    return tables
+    seeds = [
+        _crossing_windows(root[start:end], n, edges, l)[1]
+        for start, end in dag.segments
+    ]
+    return _push_down(dag, crossing, seeds)
 
 
 def _gram_names(tables: list[Counter], dictionary: Dictionary) -> dict[tuple, str]:
@@ -395,14 +439,14 @@ def sequence_count(
     dag: Dag, dictionary: Dictionary, l: int = 3
 ) -> list[dict[str, int]]:
     """Per file: counts of every l-word window, keyed by the joined words."""
-    return gram_counts(_gram_tables(dag, l), dictionary)
+    return finish("sequence_count", _gram_tables(dag, l), dictionary)
 
 
 def ranked_inverted_index(
     dag: Dag, dictionary: Dictionary, l: int = 3
 ) -> dict[str, list[tuple[int, int]]]:
     """Per l-gram: (file, count) sorted by count descending, ties by file."""
-    return rank_gram_files(_gram_tables(dag, l), dictionary)
+    return finish("ranked_inverted_index", _gram_tables(dag, l), dictionary)
 
 
 def rank_gram_files(
@@ -434,35 +478,3 @@ def rank_gram_files(
             postings.sort(key=itemgetter(1), reverse=True)
         ranked[gram] = postings
     return ranked
-
-
-# -- tfidf ---------------------------------------------------------------------
-
-
-def tfidf(dag: Dag, dictionary: Dictionary) -> dict[str, dict[int, float]]:
-    """Raw in-file term frequency times ln(file count / document frequency)."""
-    words = dictionary.words
-    return tfidf_scores(
-        [
-            {words[code]: count for code, count in counts.items()}
-            for counts in _per_file_code_counts(dag)
-        ]
-    )
-
-
-def tfidf_scores(per_file: list[dict[str, int]]) -> dict[str, dict[int, float]]:
-    """Scores per word and file from each file's word counts.
-
-    The document frequency of a word is the number of files that count it.
-    """
-    file_count = len(per_file)
-    df: Counter = Counter()
-    for counts in per_file:
-        df.update(counts.keys())
-    scores: dict[str, dict[int, float]] = {}
-    for file_id, counts in enumerate(per_file):
-        for word, count in counts.items():
-            scores.setdefault(word, {})[file_id] = count * math.log(
-                file_count / df[word]
-            )
-    return {word: dict(sorted(scores[word].items())) for word in sorted(scores)}

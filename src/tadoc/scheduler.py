@@ -9,12 +9,13 @@ into equal token-range sections, never more than it has tokens, only when
 it exceeds h_split = S/(2*n_w) and keeping it whole would leave some
 partition above 1.25x the average worker load. Each worker compresses its
 partition against the shared dictionary and returns one table per unit (a
-whole file or one section): word-code counts, or l-gram counts for the
-order-sensitive tasks. A section's codes run l-1 tokens past its end, so
-each window is counted by the one section it starts in and a file's table
-is the sum of its sections' tables. `run_parallel` sums the tables per file
-and finishes every task from them with the `kernels` finalizers, so results
-are invariant in the worker count.
+whole file or one section) from `kernels.file_tables`: word-code counts,
+or l-gram counts for the order-sensitive tasks. A section's codes run l-1
+tokens past its end, so each window is counted by the one section it
+starts in and a file's table is the sum of its sections' tables.
+`run_parallel` sums the tables per file and finishes the task from them
+with `kernels.finish`, as the one-worker kernels do, so results are
+invariant in the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import kernels
 from .corpus import Dictionary
-from .dag import DatasetFeatures
+from .dag import DatasetFeatures, load_merge_graph
 from .kernels import ORDER_SENSITIVE, TASKS
 from .sequitur import infer_grammar
 
@@ -133,13 +134,12 @@ def plan_partitions(sizes: list[int], n_workers: int) -> PartitionPlan:
 # -- parallel execution ----------------------------------------------------------
 
 
-def _worker(dictionary, units, task, l, threshold):
+def _worker(dictionary, units, task, l):
     """Compress and analyze one partition; returns one table per unit.
 
     units: the token codes of each unit (a whole file or one section). The
     partition gets its own grammar over the shared word codes, with one
-    fresh separator per unit. Tables count l-grams for the order-sensitive
-    tasks and word codes for the others.
+    fresh separator per unit.
     """
     word_count = dictionary.word_count
     n_terminals = word_count + len(units)
@@ -148,10 +148,7 @@ def _worker(dictionary, units, task, l, threshold):
         symbols.extend(codes)
         symbols.append(word_count + index)
     grammar = infer_grammar(symbols, n_terminals, word_count)
-    dag = kernels.load_dag(grammar, threshold)
-    if task in ORDER_SENSITIVE:
-        return kernels._gram_tables(dag, l)
-    return kernels._per_file_code_counts(dag)
+    return kernels.file_tables(task, load_merge_graph(grammar), l)
 
 
 def run_parallel(
@@ -161,7 +158,6 @@ def run_parallel(
     n_workers: int,
     l: int = 3,
     top_k: int | None = None,
-    coarsen_threshold: int | None = None,
 ):
     """Partition, compress and analyze per worker, then merge.
 
@@ -181,7 +177,7 @@ def run_parallel(
 
     def work(sections):
         units = [file_codes[s.file_id][s.start : s.end + overlap] for s in sections]
-        return _worker(dictionary, units, task, l, coarsen_threshold)
+        return _worker(dictionary, units, task, l)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         partials = list(pool.map(work, partitions))
@@ -190,32 +186,4 @@ def run_parallel(
     for sections, partial in zip(partitions, partials):
         for section, table in zip(sections, partial):
             tables[section.file_id].update(table)
-    return _finish(task, tables, dictionary, top_k)
-
-
-def _finish(task, tables, dictionary, top_k):
-    """The result of `task` from each file's summed table."""
-    if task == "sequence_count":
-        return kernels.gram_counts(tables, dictionary)
-    if task == "ranked_inverted_index":
-        return kernels.rank_gram_files(tables, dictionary)
-    words = dictionary.words
-    if task == "term_vector":
-        return kernels.rank_term_vectors(
-            (((words[c], n) for c, n in table.items()) for table in tables), top_k
-        )
-    if task == "tfidf":
-        return kernels.tfidf_scores(
-            [{words[c]: n for c, n in table.items()} for table in tables]
-        )
-    if task == "inverted_index":
-        files: dict[int, list[int]] = {}
-        for file_id, table in enumerate(tables):
-            for code in table:
-                files.setdefault(code, []).append(file_id)
-        return {words[c]: files[c] for c in sorted(files, key=words.__getitem__)}
-    totals: Counter = Counter()
-    for table in tables:
-        totals.update(table)
-    counts = kernels._decode_counts(totals, dictionary)
-    return list(counts.items()) if task == "sort" else counts
+    return kernels.finish(task, tables, dictionary, top_k)

@@ -86,6 +86,31 @@ def test_malformed_container_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_container_faults_exit_3(capsys, tmp_path):
+    from tadoc.container import write_container
+    from tadoc.corpus import encode_corpus
+    from tadoc.sequitur import Grammar, infer_grammar
+
+    dictionary, encoded = encode_corpus([("zz", "qq a b qq"), ("f1", "c d")])
+    grammar = infer_grammar(encoded.symbols, dictionary.n_total, dictionary.word_count)
+    blob = write_container(dictionary, grammar, encoded.file_table, False)
+    rules = [list(body) for body in grammar.rules]
+    rules[0][-2:] = rules[0][-1], rules[0][-2]
+    moved = Grammar(grammar.n_terminals, grammar.n_words, rules)
+    cases = {
+        "name": (blob.replace(b"\x02zz", b"\x02\xff\xfe"), True),
+        "word": (blob.replace(b"\x02qq", b"\x02\xff\xfe"), False),
+        "root": (write_container(dictionary, moved, encoded.file_table, False), False),
+    }
+    for case, (data, header_fault) in cases.items():
+        path = tmp_path / f"{case}.tdoc"
+        path.write_bytes(data)
+        code, _, err = run(capsys, ["analyze", str(path), "word-count"])
+        assert (code, err.startswith("error: ")) == (3, True), case
+        code, _, _ = run(capsys, ["features", str(path)])
+        assert code == (3 if header_fault else 0), case
+
+
 def test_features_output(capsys, ref_container):
     code, out, _ = run(capsys, ["features", str(ref_container)])
     assert code == 0
@@ -165,6 +190,28 @@ def test_baseline_engine_matches_cd(capsys, corpus_dir, tmp_path):
     _, cd_out, _ = run(capsys, ["analyze", str(out_path), "term-vector"])
     _, base_out, _ = run(capsys, ["analyze", str(corpus_dir), "term-vector", "--engine", "baseline"])
     assert cd_out == base_out
+
+
+def test_tsv_output_over_several_chunks_matches_baseline(capsys, tmp_path):
+    from tadoc import cli
+
+    directory = tmp_path / "wide"
+    directory.mkdir()
+    (directory / "f0.txt").write_text(" ".join([f"w{i}" for i in range(3000)] * 2))
+    (directory / "f1.txt").write_text(" ".join(f"w{i}" for i in range(1500, 4500)))
+    container = tmp_path / "wide.tdoc"
+    assert main(["compress", str(directory), "--out", str(container)]) == 0
+    capsys.readouterr()
+    for task, rows in (("term-vector", 6000), ("sequence-count", 5998)):
+        code, cd_out, _ = run(capsys, ["analyze", str(container), task])
+        assert code == 0
+        lines = cd_out.split("\n")
+        assert rows > cli._EMIT_ROWS and len(lines) == rows + 1 and lines[-1] == ""
+        assert all(line.count("\t") == 2 for line in lines[:-1])
+        _, base_out, _ = run(
+            capsys, ["analyze", str(directory), task, "--engine", "baseline"]
+        )
+        assert cd_out == base_out
 
 
 def test_decompress_round_trip(capsys, corpus_dir, tmp_path):

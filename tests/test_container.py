@@ -122,6 +122,30 @@ def test_undefined_or_missing_rules_are_rejected():
         C.read_container(blob)
 
 
+def test_non_utf8_names_and_words_are_container_errors():
+    dictionary, encoded, grammar = build([("zz", "qq a b qq")])
+    blob = C.write_container(dictionary, grammar, encoded.file_table, False)
+    for field in (b"\x02zz", b"\x02qq"):
+        assert blob.count(field) == 1
+        bad = blob.replace(field, b"\x02\xff\xfe")
+        with pytest.raises(C.ContainerError, match="not valid UTF-8"):
+            C.read_container(bad)
+        if field == b"\x02zz":
+            with pytest.raises(C.ContainerError, match="not valid UTF-8"):
+                C.read_header(bad)
+
+
+def test_root_symbols_after_last_separator_are_rejected():
+    dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
+    rules = [list(body) for body in grammar.rules]
+    # swap the last separator with the element before it: token count unchanged
+    rules[0][-2:] = rules[0][-1], rules[0][-2]
+    moved = Grammar(grammar.n_terminals, grammar.n_words, rules)
+    blob = C.write_container(dictionary, moved, encoded.file_table, False)
+    with pytest.raises(C.ContainerError, match="after the last file separator"):
+        C.read_container(blob)
+
+
 def test_deflate_garbage():
     dictionary, encoded, grammar = build([("f0", "a b")])
     blob = C.write_container(dictionary, grammar, encoded.file_table, True)

@@ -1,7 +1,9 @@
-"""Exactness of the order-sensitive kernels, which count windows on the grammar.
+"""Exactness of the per-file kernels, which push rule tables down the grammar.
 
 Every table is compared with the oracle, which slides the window over the
-plain token lists, for l = 2..8: tables and their order must be equal.
+plain token lists, for l = 2..8: tables and their order must be equal. The
+word tasks that share the push-down (term vector, tfidf) and both word
+count kernels are checked on the same corpora.
 """
 
 from __future__ import annotations
@@ -21,11 +23,45 @@ LENGTHS = range(2, 9)
 def _items(result):
     """Results as nested item lists, so that the order of keys is compared too."""
     if isinstance(result, dict):
-        return list(result.items())
-    return [list(table.items()) for table in result]
+        return [(key, _items(value)) for key, value in result.items()]
+    if isinstance(result, list):
+        return [_items(value) for value in result]
+    return result
+
+
+def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3)):
+    truth = {
+        "word_count": oracle.word_count(files),
+        "term_vector": oracle.term_vector(files),
+        "tfidf": oracle.tfidf(files),
+    }
+    for threshold in thresholds:
+        dictionary, _, dag = build_dag(files, threshold)
+        got = {
+            "word_count": [
+                kernels.word_count_postorder(dag, dictionary),
+                kernels.word_count_preorder(dag, dictionary),
+                *(
+                    kernels.run_task("word_count", dag, dictionary, variant)
+                    for variant in kernels.INDEX_VARIANTS
+                ),
+            ],
+            "term_vector": [kernels.term_vector(dag, dictionary)],
+            "tfidf": [kernels.tfidf(dag, dictionary)],
+        }
+        for task, results in got.items():
+            for result in results:
+                assert _items(result) == _items(truth[task]), (threshold, task)
+    dictionary, _ = encode_corpus(files)
+    streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
+    for n in workers:
+        for task, expected in truth.items():
+            got = run_parallel(dictionary, streams, task, n)
+            assert _items(got) == _items(expected), (n, task)
 
 
 def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3)):
+    assert_words_exact(files, thresholds, workers)
     for l in LENGTHS:
         counts = _items(oracle.sequence_count(files, l))
         ranked = _items(oracle.ranked_inverted_index(files, l))
@@ -116,3 +152,11 @@ def test_doubling_grammar_is_counted_without_expansion():
         assert kernels.sequence_count(dag, dictionary, l) == [counts]
         ranked = kernels.ranked_inverted_index(dag, dictionary, l)
         assert ranked == {gram: [(0, count)] for gram, count in counts.items()}
+    words = {"a": half, "b": half}
+    assert kernels.word_count_postorder(dag, dictionary) == words
+    assert kernels.word_count_preorder(dag, dictionary) == words
+    for variant in kernels.INDEX_VARIANTS:
+        assert kernels.run_task("word_count", dag, dictionary, variant) == words
+    assert kernels.term_vector(dag, dictionary) == [[("a", half), ("b", half)]]
+    # one file: every word is in every file, so ln(1 / 1) scores 0
+    assert kernels.tfidf(dag, dictionary) == {"a": {0: 0.0}, "b": {0: 0.0}}
