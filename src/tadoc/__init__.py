@@ -14,6 +14,7 @@ from .corpus import (
 from .sequitur import Grammar, GrammarError, expand, grammar_stats, infer_grammar
 from .container import (
     BadMagicError,
+    ChecksumError,
     CompressionReport,
     ContainerError,
     ContainerHeader,
@@ -51,6 +52,7 @@ __all__ = [
     "grammar_stats",
     "infer_grammar",
     "BadMagicError",
+    "ChecksumError",
     "CompressionReport",
     "ContainerError",
     "ContainerHeader",

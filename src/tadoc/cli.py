@@ -117,9 +117,16 @@ def serialize_tsv(task: str, result, names: list[str]):
             for file_id, count in ranked:
                 yield f"{gram}\t{names[file_id]}\t{count}"
     elif task == "tfidf":
+        # few distinct scores, so each repr is made once. A score is
+        # count * ln(files / df) >= +0.0, never the -0.0 or NaN that a
+        # float-keyed dict would merge with 0.0 or never find
+        reprs: dict[float, str] = {}
         for word, scores in result.items():
             for file_id, score in scores.items():
-                yield f"{word}\t{names[file_id]}\t{score!r}"
+                text = reprs.get(score)
+                if text is None:
+                    text = reprs[score] = repr(score)
+                yield f"{word}\t{names[file_id]}\t{text}"
     else:
         raise ValueError(f"unknown task {task!r}")
 

@@ -1,24 +1,44 @@
 """Bit-exact on-disk format for (dictionary, grammar, metadata).
 
-Layout: a fixed 16-byte preamble (magic ``TDOC``, version, flags, reserved)
-followed by the payload -- header block, dictionary block, grammar block.
-With the deflate flag set, everything after the preamble is one raw DEFLATE
-stream (RFC 1951). Varints are unsigned LEB128; fixed-width fields are
-little-endian. See docs/format.md for a hex-annotated example.
+Layout: a fixed 16-byte preamble (magic ``TDOC``, version, flags, CRC32 of
+the rest, reserved) followed by the payload -- header block, file table,
+dictionary block, grammar block. With the deflate flag set, everything after
+the preamble is one raw DEFLATE stream (RFC 1951). Integer arrays are stored
+as byte planes of little-endian uint32s: the low byte of every value, then
+every second byte, and so on. The upper planes of small values are runs of
+zeros that DEFLATE shrinks, and the reader turns planes back into ints in a
+few C-level calls. Words and file names are each one UTF-8 blob. See
+docs/format.md for a hex-annotated example.
 """
 
 from __future__ import annotations
 
+import itertools
+import struct
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass
 
 from .corpus import Dictionary, FileEntry
 from .sequitur import Grammar
 
 MAGIC = b"TDOC"
-VERSION = 1
+VERSION = 2
 PREAMBLE_SIZE = 16
 FLAG_DEFLATE = 0x01
+# preamble bytes 6..9: CRC32 of every byte after the preamble
+_CRC = struct.Struct("<I")
+_CRC_OFFSET = 6
+# header block: n_terminals, word_count, file_count, total_tokens,
+# vocab_size, rule_count, byte sizes of the names and words blobs
+_HEADER = struct.Struct("<8I")
+_NAME_SEP = "\0"
+_WORD_SEP = "\n"
+
+_UINT32 = "I"
+assert array(_UINT32).itemsize == 4, "array typecode 'I' must be 4 bytes wide"
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class ContainerError(ValueError):
@@ -31,6 +51,10 @@ class BadMagicError(ContainerError):
 
 class UnsupportedVersionError(ContainerError):
     pass
+
+
+class ChecksumError(ContainerError):
+    """The CRC32 in the preamble does not match the bytes after it."""
 
 
 class TruncatedContainerError(ContainerError):
@@ -62,60 +86,58 @@ class ContainerHeader:
         return len(self.file_table)
 
 
-# -- varints -------------------------------------------------------------------
+# -- byte planes and blobs -----------------------------------------------------
 
 
-def write_varint(buf: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
+def _plane(values) -> bytes:
+    """`values` as uint32 byte planes: all low bytes first, high bytes last."""
+    try:
+        raw = array(_UINT32, values)
+    except OverflowError:
+        raise ContainerError("a value does not fit in 32 bits") from None
+    if _BIG_ENDIAN:
+        raw.byteswap()
+    data = raw.tobytes()
+    return b"".join(data[k::4] for k in range(4))
 
 
-def read_varint(data, pos: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
-    size = len(data)
-    while True:
-        if pos >= size:
-            raise TruncatedContainerError("varint runs past end of payload")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
+def _read_plane(payload: memoryview, pos: int, count: int) -> tuple[list[int], int]:
+    """`count` values from the byte planes at `pos`, and the offset after them."""
+    end = pos + 4 * count
+    if end > len(payload):
+        raise TruncatedContainerError("byte plane runs past end of payload")
+    raw = bytearray(4 * count)
+    for k in range(4):
+        raw[k::4] = payload[pos + k * count : pos + (k + 1) * count]
+    values = array(_UINT32)
+    values.frombytes(raw)
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return values.tolist(), end
 
 
-def decode_varint_stream(data, pos: int) -> tuple[list[int], bool]:
-    """Every varint from `pos` to the end of `data`, in one pass.
+def _blob(items: list[str], sep: str, what: str) -> bytes:
+    text = sep.join(items)
+    if text.count(sep) != max(len(items) - 1, 0):
+        raise ContainerError(f"a {what} contains {sep!r}")
+    return text.encode("utf-8")
 
-    The flag is True when the data ends inside a varint, its final byte
-    missing.
-    """
-    out = []
-    append = out.append
-    stream = iter(data[pos:])
-    for byte in stream:
-        if byte < 0x80:
-            append(byte)
-            continue
-        value = byte & 0x7F
-        shift = 7
-        # the rest of this varint, from the same iterator
-        for byte in stream:
-            if byte < 0x80:
-                append(value | (byte << shift))
-                break
-            value |= (byte & 0x7F) << shift
-            shift += 7
-        else:
-            return out, True
-    return out, False
+
+def _read_blob(
+    payload: memoryview, pos: int, size: int, sep: str, count: int, what: str
+) -> list[str]:
+    """The `count` strings of the blob at `pos`, joined by `sep`."""
+    if pos + size > len(payload):
+        raise TruncatedContainerError(f"{what}s run past end of payload")
+    try:
+        text = str(payload[pos : pos + size], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContainerError(f"{what} is not valid UTF-8: {exc}") from None
+    # an empty blob is one empty string or none, as the count says
+    items = text.split(sep) if count or text else []
+    if len(items) != count:
+        raise ContainerError(f"{len(items)} {what}s in the blob, {count} expected")
+    return items
 
 
 # -- writing -------------------------------------------------------------------
@@ -124,31 +146,30 @@ def decode_varint_stream(data, pos: int) -> tuple[list[int], bool]:
 def build_payload(
     dictionary: Dictionary, grammar: Grammar, file_table: list[FileEntry]
 ) -> bytes:
-    buf = bytearray()
-    write_varint(buf, grammar.n_terminals)
-    write_varint(buf, dictionary.word_count)
-    write_varint(buf, len(file_table))
-    for entry in file_table:
-        name = entry.name.encode("utf-8")
-        write_varint(buf, len(name))
-        buf += name
-        write_varint(buf, entry.token_count)
-        write_varint(buf, entry.separator_code)
-    # feature block
-    write_varint(buf, sum(e.token_count for e in file_table))
-    write_varint(buf, dictionary.word_count)
-    write_varint(buf, len(grammar.rules))
-    # dictionary block
-    for word in dictionary.words:
-        encoded = word.encode("utf-8")
-        write_varint(buf, len(encoded))
-        buf += encoded
-    # grammar block
-    for body in grammar.rules:
-        write_varint(buf, len(body))
-        for sym in body:
-            write_varint(buf, sym)
-    return bytes(buf)
+    names = _blob([e.name for e in file_table], _NAME_SEP, "file name")
+    words = _blob(dictionary.words, _WORD_SEP, "dictionary word")
+    try:
+        header = _HEADER.pack(
+            grammar.n_terminals,
+            dictionary.word_count,
+            len(file_table),
+            sum(e.token_count for e in file_table),
+            dictionary.word_count,
+            len(grammar.rules),
+            len(names),
+            len(words),
+        )
+    except struct.error:
+        raise ContainerError("a header field does not fit in 32 bits") from None
+    return b"".join((
+        header,
+        _plane([e.token_count for e in file_table]),
+        _plane([e.separator_code for e in file_table]),
+        names,
+        words,
+        _plane(map(len, grammar.rules)),
+        _plane(itertools.chain.from_iterable(grammar.rules)),
+    ))
 
 
 def write_container(
@@ -163,10 +184,15 @@ def write_container(
         raise ContainerError("file table does not match separator count")
     payload = build_payload(dictionary, grammar, file_table)
     flags = FLAG_DEFLATE if deflate else 0
-    preamble = MAGIC + bytes([VERSION, flags]) + b"\x00" * (PREAMBLE_SIZE - 6)
     if deflate:
         compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
         payload = compressor.compress(payload) + compressor.flush()
+    preamble = (
+        MAGIC
+        + bytes([VERSION, flags])
+        + _CRC.pack(zlib.crc32(payload))
+        + bytes(PREAMBLE_SIZE - _CRC_OFFSET - _CRC.size)
+    )
     return preamble + payload
 
 
@@ -174,6 +200,7 @@ def write_container(
 
 
 def _read_preamble(data: bytes) -> tuple[int, bool]:
+    """Check the preamble and the CRC32 of everything after it."""
     if len(data) < PREAMBLE_SIZE:
         raise TruncatedContainerError(
             f"container shorter than the {PREAMBLE_SIZE}-byte preamble"
@@ -183,13 +210,25 @@ def _read_preamble(data: bytes) -> tuple[int, bool]:
     version = data[4]
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported container version {version}")
+    (stored,) = _CRC.unpack_from(data, _CRC_OFFSET)
+    actual = zlib.crc32(memoryview(data)[PREAMBLE_SIZE:])
+    if stored != actual:
+        raise ChecksumError(
+            f"payload checksum {actual:08x} does not match the stored {stored:08x}"
+        )
+    if data[5] & ~FLAG_DEFLATE or any(data[_CRC_OFFSET + _CRC.size : PREAMBLE_SIZE]):
+        raise ContainerError("reserved preamble bits are set")
     return version, bool(data[5] & FLAG_DEFLATE)
 
 
-def _inflate(data: bytes) -> bytes:
+def _payload(data: bytes, deflate: bool) -> memoryview:
+    """The payload after the preamble, inflated when the flag says so."""
+    body = memoryview(data)[PREAMBLE_SIZE:]
+    if not deflate:
+        return body
     try:
         decompressor = zlib.decompressobj(-15)
-        payload = decompressor.decompress(data)
+        payload = decompressor.decompress(body)
         payload += decompressor.flush()
         if not decompressor.eof:
             raise TruncatedContainerError("deflate stream ends prematurely")
@@ -198,74 +237,48 @@ def _inflate(data: bytes) -> bytes:
                 f"{len(decompressor.unused_data)} trailing bytes after "
                 "the deflate stream"
             )
-        return payload
+        return memoryview(payload)
     except zlib.error as exc:
         raise DeflateError(f"deflate layer is corrupt: {exc}") from exc
 
 
-def _parse_header(payload, version: int, deflate: bool) -> tuple[ContainerHeader, int]:
-    pos = 0
-    n_terminals, pos = read_varint(payload, pos)
-    word_count, pos = read_varint(payload, pos)
-    file_count, pos = read_varint(payload, pos)
-    file_table = []
-    for _ in range(file_count):
-        name_len, pos = read_varint(payload, pos)
-        if pos + name_len > len(payload):
-            raise TruncatedContainerError("file name runs past end of payload")
-        try:
-            name = bytes(payload[pos : pos + name_len]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ContainerError(f"file name is not valid UTF-8: {exc}") from None
-        pos += name_len
-        token_count, pos = read_varint(payload, pos)
-        separator, pos = read_varint(payload, pos)
-        file_table.append(FileEntry(name, token_count, separator))
-    total_tokens, pos = read_varint(payload, pos)
-    vocab_size, pos = read_varint(payload, pos)
-    rule_count, pos = read_varint(payload, pos)
+def _parse_header(
+    payload: memoryview, version: int, deflate: bool
+) -> tuple[ContainerHeader, int, int]:
+    """The header block and file table: the header, the byte size of the
+    words blob, and the offset after the table."""
+    if len(payload) < _HEADER.size:
+        raise TruncatedContainerError("header block runs past end of payload")
+    (
+        n_terminals,
+        word_count,
+        file_count,
+        total_tokens,
+        vocab_size,
+        rule_count,
+        names_size,
+        words_size,
+    ) = _HEADER.unpack_from(payload)
+    token_counts, pos = _read_plane(payload, _HEADER.size, file_count)
+    separators, pos = _read_plane(payload, pos, file_count)
+    names = _read_blob(payload, pos, names_size, _NAME_SEP, file_count, "file name")
     header = ContainerHeader(
         version=version,
         deflate=deflate,
         n_terminals=n_terminals,
         word_count=word_count,
-        file_table=file_table,
+        file_table=list(map(FileEntry, names, token_counts, separators)),
         total_tokens=total_tokens,
         vocab_size=vocab_size,
         rule_count=rule_count,
     )
-    return header, pos
+    return header, words_size, pos + names_size
 
 
 def read_header(data: bytes) -> ContainerHeader:
-    """Parse preamble and header block only (grammar left untouched).
-
-    On deflated containers the stream is inflated incrementally, just far
-    enough to cover the header.
-    """
+    """Parse preamble, header block and file table only (grammar left untouched)."""
     version, deflate = _read_preamble(data)
-    body = data[PREAMBLE_SIZE:]
-    if not deflate:
-        header, _ = _parse_header(body, version, deflate)
-        header.container_size = len(data)
-        return header
-    decompressor = zlib.decompressobj(-15)
-    inflated = bytearray()
-    feed = body
-    while feed:
-        try:
-            inflated += decompressor.decompress(feed, 64 * 1024)
-        except zlib.error as exc:
-            raise DeflateError(f"deflate layer is corrupt: {exc}") from exc
-        try:
-            header, _ = _parse_header(inflated, version, deflate)
-            header.container_size = len(data)
-            return header
-        except TruncatedContainerError:
-            feed = decompressor.unconsumed_tail
-    # all input consumed; either the header really is truncated or the
-    # final parse succeeds on the complete payload
-    header, _ = _parse_header(inflated, version, deflate)
+    header, _, _ = _parse_header(_payload(data, deflate), version, deflate)
     header.container_size = len(data)
     return header
 
@@ -273,50 +286,25 @@ def read_header(data: bytes) -> ContainerHeader:
 def read_container(data: bytes) -> tuple[Dictionary, Grammar, ContainerHeader]:
     """Exact inverse of write_container; verifies the feature block."""
     version, deflate = _read_preamble(data)
-    payload = data[PREAMBLE_SIZE:]
-    if deflate:
-        payload = _inflate(payload)
-    header, pos = _parse_header(payload, version, deflate)
+    payload = _payload(data, deflate)
+    header, words_size, pos = _parse_header(payload, version, deflate)
     header.container_size = len(data)
 
-    words = []
-    for _ in range(header.word_count):
-        word_len, pos = read_varint(payload, pos)
-        if pos + word_len > len(payload):
-            raise TruncatedContainerError("dictionary word runs past end of payload")
-        try:
-            words.append(bytes(payload[pos : pos + word_len]).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ContainerError(f"dictionary word is not valid UTF-8: {exc}") from None
-        pos += word_len
-    separator_count = header.n_terminals - header.word_count
-    dictionary = Dictionary(words, separator_count)
+    words = _read_blob(
+        payload, pos, words_size, _WORD_SEP, header.word_count, "dictionary word"
+    )
+    dictionary = Dictionary(words, header.n_terminals - header.word_count)
 
-    bodies = _split_rules(payload, pos, header.rule_count)
+    lengths, pos = _read_plane(payload, pos + words_size, header.rule_count)
+    symbols, pos = _read_plane(payload, pos, sum(lengths))
+    if pos != len(payload):
+        raise ContainerError(f"{len(payload) - pos} trailing bytes after grammar")
+    bounds = list(itertools.accumulate(lengths, initial=0))
+    bodies = list(map(symbols.__getitem__, map(slice, bounds, bounds[1:])))
     grammar = Grammar(header.n_terminals, header.word_count, bodies)
 
     _verify_features(header, dictionary, grammar)
     return dictionary, grammar, header
-
-
-def _split_rules(payload, pos: int, rule_count: int) -> list[list[int]]:
-    """The grammar block: `rule_count` bodies, each a length and its symbols."""
-    values, unterminated = decode_varint_stream(payload, pos)
-    bodies = []
-    index = 0
-    for _ in range(rule_count):
-        if index >= len(values):
-            raise TruncatedContainerError("varint runs past end of payload")
-        end = index + 1 + values[index]
-        if end > len(values):
-            raise TruncatedContainerError("varint runs past end of payload")
-        bodies.append(values[index + 1 : end])
-        index = end
-    if index != len(values) or unterminated:
-        for _ in range(index):
-            _, pos = read_varint(payload, pos)
-        raise ContainerError(f"{len(payload) - pos} trailing bytes after grammar")
-    return bodies
 
 
 def _verify_features(header, dictionary: Dictionary, grammar: Grammar) -> None:
@@ -343,16 +331,21 @@ def _verify_features(header, dictionary: Dictionary, grammar: Grammar) -> None:
 def _grammar_token_count(grammar: Grammar) -> int:
     """Word tokens in the expansion, via each rule's expanded length.
 
-    The rules are ordered parents first over their distinct references,
-    which also finds cycles and unreachable rules; lengths then fill in
-    children first, each a sum over the body, so no body is expanded.
+    The rules are ordered parents first over their references, which also
+    finds cycles and unreachable rules; lengths then fill in children
+    first, each a sum over the body, so no body is expanded.
     """
     n = grammar.n_terminals
     rules = grammar.rules
     rule_count = len(rules)
     if not rule_count:
         raise ContainerError("grammar has no root rule")
-    children = [[sym - n for sym in set(body) if sym >= n] for body in rules]
+    # a child listed twice is counted twice below, so only long bodies,
+    # where repeats are common, pay for a set
+    children = [
+        [sym - n for sym in (set(body) if len(body) > 16 else body) if sym >= n]
+        for body in rules
+    ]
     in_deg = [0] * rule_count
     try:
         for kids in children:

@@ -38,11 +38,15 @@ class Dictionary:
 
     words: list[str]
     separator_count: int
-    _codes: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+    # word -> code, built on first use: analytics on a read container never
+    # look a word up
+    _codes: dict[str, int] | None = field(repr=False, compare=False, default=None)
 
-    def __post_init__(self):
-        if not self._codes:
+    @property
+    def codes(self) -> dict[str, int]:
+        if self._codes is None:
             self._codes = {w: i for i, w in enumerate(self.words)}
+        return self._codes
 
     @property
     def word_count(self) -> int:
@@ -54,7 +58,7 @@ class Dictionary:
         return len(self.words) + self.separator_count
 
     def code_for(self, word: str) -> int:
-        return self._codes[word]
+        return self.codes[word]
 
     def word_for(self, code: int) -> str:
         if code >= len(self.words):
@@ -133,7 +137,7 @@ def encode_corpus(
 
 def encode_tokens(tokens: list[str], dictionary: Dictionary) -> list[int]:
     """Encode pre-tokenized text against an existing dictionary."""
-    codes = dictionary._codes
+    codes = dictionary.codes
     try:
         return [codes[t] for t in tokens]
     except KeyError as exc:

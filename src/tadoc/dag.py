@@ -8,7 +8,7 @@ positions in the root body delimit the per-file segments.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import CorpusError
@@ -56,26 +56,38 @@ def load_merge_graph(grammar: Grammar) -> Dag:
     """
     n = grammar.n_terminals
     n_words = grammar.n_words
+    rules = grammar.rules
+    in_edges = [0] * len(rules)
     nodes: dict[int, Node] = {}
-    for index, body in enumerate(grammar.rules):
-        term_counts: dict[int, int] = {}
-        child_counts: dict[int, int] = {}
-        for sym, count in _symbol_counts(body).items():
-            if sym >= n:
-                child_counts[sym] = count
-            elif sym < n_words:
-                term_counts[sym] = count
-        nodes[n + index] = Node(body, term_counts, child_counts)
-
-    for node in nodes.values():
-        for child, mult in node.child_counts.items():
-            if child not in nodes:
-                raise GrammarError(f"dangling rule id {child}")
-            nodes[child].in_edges += mult
+    try:
+        for rid, body in enumerate(rules, n):
+            # counts in first-seen order; a Counter pays off on long bodies
+            # only, and most rules hold two symbols
+            term_counts: dict[int, int] = {}
+            child_counts: dict[int, int] = {}
+            if len(body) > _COUNTER_MIN_BODY:
+                for sym, count in Counter(body).items():
+                    if sym >= n:
+                        child_counts[sym] = count
+                        in_edges[sym - n] += count
+                    elif sym < n_words:
+                        term_counts[sym] = count
+            else:
+                for sym in body:
+                    if sym >= n:
+                        child_counts[sym] = child_counts.get(sym, 0) + 1
+                        in_edges[sym - n] += 1
+                    elif sym < n_words:
+                        term_counts[sym] = term_counts.get(sym, 0) + 1
+            nodes[rid] = Node(body, term_counts, child_counts)
+    except IndexError:
+        raise GrammarError(f"rule {rid} references an undefined rule") from None
+    for node, count in zip(nodes.values(), in_edges):
+        node.in_edges = count
 
     root_id = grammar.root_id
-    segments = _root_segments(nodes[root_id].elements, n_words, n)
-    topo = _topo_order(nodes, root_id)
+    segments = _root_segments(nodes[root_id], n_words, n)
+    topo = _topo_order(nodes, in_edges, root_id)
     return Dag(n, n_words, root_id, nodes, segments, topo)
 
 
@@ -83,47 +95,50 @@ def load_merge_graph(grammar: Grammar) -> Dag:
 _COUNTER_MIN_BODY = 16
 
 
-def _symbol_counts(body: list[int]) -> dict[int, int]:
-    """Occurrences of each symbol in one rule body, in first-seen order.
+def _separator_positions(root: Node, n_words: int, n: int) -> list[int]:
+    """Positions of the separator codes in the root body, in order.
 
-    Building a Counter costs more than counting a short body directly, and
-    most rules hold only a few symbols.
+    An encoded corpus holds each code once, in code order, which
+    `list.index` finds in C; any other placement is found by a scan.
     """
-    if len(body) > _COUNTER_MIN_BODY:
-        return Counter(body)
-    counts: dict[int, int] = {}
-    for sym in body:
-        counts[sym] = counts.get(sym, 0) + 1
-    return counts
+    elements = root.elements
+    held = len(elements) - sum(root.term_counts.values()) - sum(root.child_counts.values())
+    if held == n - n_words:
+        ends = []
+        end = -1
+        try:
+            for code in range(n_words, n):
+                end = elements.index(code, end + 1)
+                ends.append(end)
+            return ends
+        except ValueError:
+            pass
+    return [i for i, sym in enumerate(elements) if n_words <= sym < n]
 
 
-def _root_segments(elements: list[int], n_words: int, n: int) -> list[tuple[int, int]]:
-    segments = []
-    start = 0
-    for i, sym in enumerate(elements):
-        if n_words <= sym < n:
-            segments.append((start, i))
-            start = i + 1
-    if start != len(elements):
+def _root_segments(root: Node, n_words: int, n: int) -> list[tuple[int, int]]:
+    ends = _separator_positions(root, n_words, n)
+    segments = list(zip([0, *(end + 1 for end in ends)], ends))
+    start = ends[-1] + 1 if ends else 0
+    if start != len(root.elements):
         if n_words == n:
             # no separator codes reserved: the whole root is one file
-            segments.append((start, len(elements)))
+            segments.append((start, len(root.elements)))
         else:
             raise GrammarError("root symbols after the last file separator")
     return segments
 
 
-def _topo_order(nodes: dict[int, Node], root_id: int) -> list[int]:
-    remaining = {rid: node.in_edges for rid, node in nodes.items()}
-    order = []
-    queue = deque([root_id])
-    while queue:
-        rid = queue.popleft()
-        order.append(rid)
+def _topo_order(nodes: dict[int, Node], in_edges: list[int], root_id: int) -> list[int]:
+    """Rule ids, root first, each after the last of its parents (Kahn's order)."""
+    remaining = list(in_edges)
+    order = [root_id]
+    for rid in order:
         for child, mult in nodes[rid].child_counts.items():
-            remaining[child] -= mult
-            if remaining[child] == 0:
-                queue.append(child)
+            left = remaining[child - root_id] - mult
+            remaining[child - root_id] = left
+            if not left:
+                order.append(child)
     if len(order) != len(nodes):
         raise GrammarError("grammar graph is cyclic or has unreachable rules")
     return order

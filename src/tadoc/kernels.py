@@ -290,12 +290,11 @@ def finish(
         for table in tables:
             df.update(table.keys())
         file_count = len(tables)
+        idf = {code: math.log(file_count / files) for code, files in df.items()}
         scores: dict[int, dict[int, float]] = {}
         for file_id, table in enumerate(tables):
             for code, count in table.items():
-                scores.setdefault(code, {})[file_id] = count * math.log(
-                    file_count / df[code]
-                )
+                scores.setdefault(code, {})[file_id] = count * idf[code]
         return {words[c]: scores[c] for c in sorted(scores, key=words.__getitem__)}
     if task == "inverted_index":
         files: dict[int, list[int]] = {}

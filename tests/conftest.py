@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 from tadoc.corpus import encode_corpus
 from tadoc.dag import coarsen, load_merge_graph
@@ -109,3 +110,11 @@ def repetitive_corpus(
             size += len(sentence) + 1
         files.append((f"doc{i}.txt", "\n".join(chunks)))
     return files
+
+
+def reseal(blob: bytes) -> bytes:
+    """`blob` with the preamble's CRC32 recomputed over the bytes after it,
+    so an edited container reaches the structural check the edit targets."""
+    sealed = bytearray(blob)
+    sealed[6:10] = zlib.crc32(sealed[16:]).to_bytes(4, "little")
+    return bytes(sealed)

@@ -16,7 +16,7 @@ import zlib
 
 import pytest
 
-from conftest import build_dag, random_corpus, repetitive_corpus
+from conftest import build_dag, random_corpus, repetitive_corpus, reseal
 from tadoc import container as C
 from tadoc import kernels, oracle
 from tadoc.bitmap import DoubleLayerBitmap
@@ -276,13 +276,19 @@ def test_acceptance_8_compression_ratio_property():
     layered = C.write_container(dictionary, grammar, encoded.file_table, True)
     grammar_only = C.write_container(dictionary, grammar, encoded.file_table, False)
 
-    # deflate of the dictionary-encoded raw stream (same varint coding)
+    # deflate of the dictionary-encoded raw stream, as LEB128 varints
+    def write_varint(value):
+        while value >= 0x80:
+            buf.append(value & 0x7F | 0x80)
+            value >>= 7
+        buf.append(value)
+
     buf = bytearray()
     for sym in encoded.symbols:
-        C.write_varint(buf, sym)
+        write_varint(sym)
     for word in dictionary.words:
         raw = word.encode()
-        C.write_varint(buf, len(raw))
+        write_varint(len(raw))
         buf += raw
     compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
     deflated_raw = compressor.compress(bytes(buf)) + compressor.flush()
@@ -362,7 +368,7 @@ def test_acceptance_10_container_bit_exactness():
     except C.BadMagicError:
         pass
     try:
-        C.read_container(blob[: len(blob) // 2])
+        C.read_container(reseal(blob[: len(blob) // 2]))
         raise AssertionError("truncated container accepted")
     except (C.TruncatedContainerError, C.DeflateError):
         pass

@@ -87,6 +87,7 @@ def test_malformed_container_exit_code(capsys, tmp_path):
 
 
 def test_container_faults_exit_3(capsys, tmp_path):
+    from conftest import reseal
     from tadoc.container import write_container
     from tadoc.corpus import encode_corpus
     from tadoc.sequitur import Grammar, infer_grammar
@@ -98,8 +99,8 @@ def test_container_faults_exit_3(capsys, tmp_path):
     rules[0][-2:] = rules[0][-1], rules[0][-2]
     moved = Grammar(grammar.n_terminals, grammar.n_words, rules)
     cases = {
-        "name": (blob.replace(b"\x02zz", b"\x02\xff\xfe"), True),
-        "word": (blob.replace(b"\x02qq", b"\x02\xff\xfe"), False),
+        "name": (reseal(blob.replace(b"zz", b"\xff\xfe")), True),
+        "word": (reseal(blob.replace(b"qq", b"\xff\xfe")), False),
         "root": (write_container(dictionary, moved, encoded.file_table, False), False),
     }
     for case, (data, header_fault) in cases.items():
@@ -109,6 +110,17 @@ def test_container_faults_exit_3(capsys, tmp_path):
         assert (code, err.startswith("error: ")) == (3, True), case
         code, _, _ = run(capsys, ["features", str(path)])
         assert code == (3 if header_fault else 0), case
+
+
+def test_checksum_mismatch_exit_3(capsys, ref_container, tmp_path):
+    blob = bytearray(ref_container.read_bytes())
+    blob[-1] ^= 0x01
+    bad = tmp_path / "bad.tdoc"
+    bad.write_bytes(bytes(blob))
+    for argv in (["analyze", str(bad), "word-count"], ["features", str(bad)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert "checksum" in err, argv
 
 
 def test_features_output(capsys, ref_container):

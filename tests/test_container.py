@@ -1,11 +1,13 @@
 import random
+import re
 import zlib
+from pathlib import Path
 
 import pytest
 
-from conftest import random_corpus, repetitive_corpus
+from conftest import random_corpus, repetitive_corpus, reseal
 from tadoc import container as C
-from tadoc.corpus import FileEntry, encode_corpus
+from tadoc.corpus import Dictionary, FileEntry, encode_corpus
 from tadoc.sequitur import Grammar, infer_grammar
 
 
@@ -41,8 +43,11 @@ def test_preambles_differ_only_in_flag_byte():
     with_layer = C.write_container(dictionary, grammar, encoded.file_table, True)
     without = C.write_container(dictionary, grammar, encoded.file_table, False)
     assert with_layer[:5] == without[:5]
-    assert with_layer[6:16] == without[6:16]
+    assert with_layer[10:16] == without[10:16] == bytes(6)
     assert with_layer[5] != without[5]
+    # bytes 6..9 differ too: each is the CRC32 of its own payload
+    for blob in (with_layer, without):
+        assert blob[6:10] == zlib.crc32(blob[16:]).to_bytes(4, "little")
 
 
 def test_deflate_layer_shrinks_repetitive_corpus():
@@ -68,6 +73,101 @@ def test_unsupported_version():
         C.read_container(bytes(blob))
 
 
+def test_version_1_is_rejected():
+    # the version-1 encoding of one file "f0" holding "a b a b"
+    v1 = bytes.fromhex(
+        "54444f43 01 00" + "00" * 10
+        + "030201 026630 0402 040202 0161 0162 03040402 020001"
+    )
+    for read in (C.read_container, C.read_header):
+        with pytest.raises(C.UnsupportedVersionError, match="version 1"):
+            read(v1)
+
+
+def test_checksum_mismatch_is_rejected():
+    dictionary, encoded, grammar = build([("f0", "a b a b a b"), ("f1", "c a b")])
+    for deflate in (True, False):
+        blob = C.write_container(dictionary, grammar, encoded.file_table, deflate)
+        for offset in (6, 16, len(blob) - 1):
+            bad = bytearray(blob)
+            bad[offset] ^= 0x20
+            for read in (C.read_container, C.read_header):
+                with pytest.raises(C.ChecksumError):
+                    read(bytes(bad))
+        with pytest.raises(C.ChecksumError):
+            C.read_container(blob + b"\x00")
+
+
+def test_reserved_preamble_bits_are_rejected():
+    dictionary, encoded, grammar = build([("f0", "a b")])
+    blob = C.write_container(dictionary, grammar, encoded.file_table)
+    for offset, bit in ((5, 0x02), (10, 0x01), (15, 0x80)):
+        bad = bytearray(blob)
+        bad[offset] |= bit
+        with pytest.raises(C.ContainerError, match="reserved"):
+            C.read_container(bytes(bad))
+
+
+def test_writer_rejects_what_the_layout_cannot_hold():
+    dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
+    table = encoded.file_table
+
+    newline = Dictionary(["a\nb", *dictionary.words[1:]], dictionary.separator_count)
+    with pytest.raises(C.ContainerError, match="dictionary word contains"):
+        C.write_container(newline, grammar, table)
+    nul = [FileEntry("f\0", table[0].token_count, table[0].separator_code), table[1]]
+    with pytest.raises(C.ContainerError, match="file name contains"):
+        C.write_container(dictionary, grammar, nul)
+
+    rules = [list(body) for body in grammar.rules]
+    rules[-1].append(2**32)
+    wide = Grammar(grammar.n_terminals, grammar.n_words, rules)
+    with pytest.raises(C.ContainerError, match="32 bits"):
+        C.write_container(dictionary, wide, table)
+    wide_count = [FileEntry("f0", 2**32, table[0].separator_code), table[1]]
+    with pytest.raises(C.ContainerError, match="32 bits"):
+        C.write_container(dictionary, grammar, wide_count)
+    # 2**32 - 1 still fits
+    rules[-1][-1] = 2**32 - 1
+    blob = C.write_container(
+        dictionary, Grammar(grammar.n_terminals, grammar.n_words, rules), table, False
+    )
+    with pytest.raises(C.ContainerError, match="undefined rule"):
+        C.read_container(blob)
+
+
+def test_random_byte_flips_are_rejected_or_harmless():
+    """1-3 flipped bytes: a ContainerError, or exactly the original read."""
+    rng = random.Random(2024)
+    dictionary, encoded, grammar = build(random_corpus(random.Random(7)))
+    blobs = [
+        C.write_container(dictionary, grammar, encoded.file_table, deflate)
+        for deflate in (True, False)
+    ]
+    originals = [C.read_container(blob) for blob in blobs]
+    for trial in range(4000):
+        blob = blobs[trial % 2]
+        want_dict, want_grammar, want_header = originals[trial % 2]
+        bad = bytearray(blob)
+        for _ in range(rng.randint(1, 3)):
+            bad[rng.randrange(len(bad))] ^= rng.randint(1, 255)
+        bad = bytes(bad)
+        try:
+            got_dict, got_grammar, got_header = C.read_container(bad)
+        except C.ContainerError:
+            pass
+        else:
+            assert (got_dict, got_grammar, got_header) == (
+                want_dict, want_grammar, want_header
+            ), trial
+        try:
+            header = C.read_header(bad)
+        except C.ContainerError:
+            pass
+        else:
+            assert header == want_header, trial
+
+
 def test_truncation_never_yields_partial_grammar():
     dictionary, encoded, grammar = build([("f0", "a b c a b c a b")])
     for deflate in (True, False):
@@ -75,17 +175,19 @@ def test_truncation_never_yields_partial_grammar():
         for cut in range(len(blob)):
             with pytest.raises(C.ContainerError):
                 C.read_container(blob[:cut])
+            # behind a valid checksum the cut is found by the layout
+            with pytest.raises(C.TruncatedContainerError):
+                C.read_container(reseal(blob[:cut]))
 
 
 def test_trailing_bytes_after_grammar_are_counted():
     dictionary, encoded, grammar = build([("f0", "a b a b a b")])
     blob = C.write_container(dictionary, grammar, encoded.file_table, False)
-    # two complete varints, one of them two bytes long
     with pytest.raises(C.ContainerError, match="^3 trailing bytes after grammar$"):
-        C.read_container(blob + b"\x05\x85\x01")
-    # a varint whose final byte is missing
+        C.read_container(reseal(blob + b"\x05\x85\x01"))
+    # fewer bytes than one more symbol
     with pytest.raises(C.ContainerError, match="^2 trailing bytes after grammar$"):
-        C.read_container(blob + b"\x85\x85")
+        C.read_container(reseal(blob + b"\x85\x85"))
 
 
 def test_cyclic_grammar_is_rejected():
@@ -125,12 +227,12 @@ def test_undefined_or_missing_rules_are_rejected():
 def test_non_utf8_names_and_words_are_container_errors():
     dictionary, encoded, grammar = build([("zz", "qq a b qq")])
     blob = C.write_container(dictionary, grammar, encoded.file_table, False)
-    for field in (b"\x02zz", b"\x02qq"):
+    for field in (b"zz", b"qq"):
         assert blob.count(field) == 1
-        bad = blob.replace(field, b"\x02\xff\xfe")
+        bad = reseal(blob.replace(field, b"\xff\xfe"))
         with pytest.raises(C.ContainerError, match="not valid UTF-8"):
             C.read_container(bad)
-        if field == b"\x02zz":
+        if field == b"zz":
             with pytest.raises(C.ContainerError, match="not valid UTF-8"):
                 C.read_header(bad)
 
@@ -150,7 +252,7 @@ def test_deflate_garbage():
     dictionary, encoded, grammar = build([("f0", "a b")])
     blob = C.write_container(dictionary, grammar, encoded.file_table, True)
     with pytest.raises(C.DeflateError):
-        C.read_container(blob[:16] + b"\x07garbage-not-deflate")
+        C.read_container(reseal(blob[:16] + b"\x07garbage-not-deflate"))
 
 
 def test_feature_mismatch_is_detected():
@@ -174,24 +276,6 @@ def test_read_header_matches_full_read():
         assert header == full
 
 
-def test_varint_round_trip():
-    buf = bytearray()
-    values = [0, 1, 127, 128, 300, 16383, 16384, 2**21, 2**35 + 17]
-    for value in values:
-        C.write_varint(buf, value)
-    pos = 0
-    out = []
-    for _ in values:
-        value, pos = C.read_varint(buf, pos)
-        out.append(value)
-    assert out == values and pos == len(buf)
-    assert C.decode_varint_stream(bytes(buf), 0) == (values, False)
-    # from an offset, and with the final byte of the last varint missing
-    first = len(buf) - 6  # 2**35 + 17 takes six bytes
-    assert C.decode_varint_stream(bytes(buf), first) == (values[-1:], False)
-    assert C.decode_varint_stream(bytes(buf[:-1]), 0) == (values[:-1], True)
-
-
 def test_compression_report_arithmetic():
     report = C.compression_report(100, 10, 25)
     assert report.container_ratio == 10.0
@@ -203,3 +287,20 @@ def test_outer_layer_recovers_identical_inner_payload():
     payload = C.build_payload(dictionary, grammar, encoded.file_table)
     blob = C.write_container(dictionary, grammar, encoded.file_table, True)
     assert zlib.decompress(blob[16:], -15) == payload
+
+
+def test_format_doc_example_matches_the_writer():
+    doc = (Path(__file__).parents[1] / "docs" / "format.md").read_text()
+    example = doc.split("## Hex-annotated example", 1)[1].split("```")[1]
+    expected = bytearray()
+    for line in example.splitlines():
+        # leading "hh" or "hh*count" tokens; the annotation follows
+        for token in line.split():
+            match = re.fullmatch(r"([0-9a-f]{2})(?:\*(\d+))?", token)
+            if not match:
+                break
+            expected += bytes.fromhex(match[1]) * int(match[2] or 1)
+    dictionary, encoded, grammar = build([("f0", "a b a b")])
+    assert grammar.rules == [[4, 4, 2], [0, 1]]
+    blob = C.write_container(dictionary, grammar, encoded.file_table, False)
+    assert blob == bytes(expected)

@@ -9,6 +9,7 @@ from tadoc.corpus import (
     MalformedStreamError,
     decode_stream,
     encode_corpus,
+    encode_tokens,
     tokenize,
 )
 
@@ -60,6 +61,14 @@ def test_decode_two_files():
 def test_decode_empty_stream():
     dictionary = Dictionary(["a"], separator_count=1)
     assert decode_stream([], dictionary) == []
+
+
+def test_word_index_is_built_on_first_lookup():
+    dictionary = Dictionary(["a", "b", "c"], separator_count=1)
+    assert dictionary._codes is None
+    assert dictionary.code_for("c") == 2
+    assert dictionary._codes == {"a": 0, "b": 1, "c": 2}
+    assert encode_tokens(["b", "a"], dictionary) == [1, 0]
 
 
 def test_decode_out_of_range_code():

@@ -51,6 +51,15 @@ def test_single_rule_loc_table():
     assert dag.segments == [(0, 3)]
 
 
+def test_segments_split_at_every_separator_wherever_it_sits():
+    n_words, n = 2, 5  # separator codes 2, 3 and 4
+    roots = ([0, 2, 1, 3, 0, 4], [2, 3, 4], [0, 4, 1, 3, 0, 2], [0, 3, 3, 1, 2, 0, 4])
+    for root in roots:
+        dag = load_merge_graph(Grammar(n, n_words, [root]))
+        ends = [i for i, sym in enumerate(root) if n_words <= sym < n]
+        assert dag.segments == list(zip([0] + [end + 1 for end in ends], ends)), root
+
+
 def test_in_edges_match_brute_force_parent_scan():
     rng = random.Random(31)
     for _ in range(40):
