@@ -8,6 +8,7 @@ versioned schema); logs and summaries go to stderr. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import gc
 import gzip as gzip_mod
 import itertools
 import json
@@ -248,6 +249,19 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # The job's tables and postings hold ints, not reference cycles, so
+    # reference counting frees them; the cyclic collector's full passes
+    # would only re-walk them as they grow.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _analyze(args) -> int:
     task = TASK_NAMES[args.task]
     if args.engine in ("baseline", "gzip"):
         pairs = _collect_paths(args.inputs, None)
@@ -391,10 +405,11 @@ def cmd_bench(args) -> int:
         gz_size += os.path.getsize(gz_path)
         gz_pairs.append((name + ".gz", gz_path))
 
-    results = {}
-    for engine in engines:
-        runs = []
-        for _ in range(args.repeat):
+    # repeat r of every engine runs before repeat r + 1, so drift of the
+    # host's speed spreads over all engines
+    engine_runs: dict[str, list[dict]] = {engine: [] for engine in engines}
+    for _ in range(args.repeat):
+        for engine, runs in engine_runs.items():
             if engine == "cd":
                 runs.append(
                     _bench_cd(task, container_path, variant, args.l, args.top_k)
@@ -403,6 +418,8 @@ def cmd_bench(args) -> int:
                 runs.append(_bench_raw(task, pairs, args.l, args.top_k, gz=False))
             else:
                 runs.append(_bench_raw(task, gz_pairs, args.l, args.top_k, gz=True))
+    results = {}
+    for engine, runs in engine_runs.items():
         medians = {
             phase: statistics.median(run[phase] for run in runs)
             for phase in ("io", "init", "compute")

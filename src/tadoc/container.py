@@ -24,7 +24,7 @@ from .corpus import Dictionary, FileEntry
 from .sequitur import Grammar
 
 MAGIC = b"TDOC"
-VERSION = 2
+VERSION = 3
 PREAMBLE_SIZE = 16
 FLAG_DEFLATE = 0x01
 # preamble bytes 6..9: CRC32 of every byte after the preamble
@@ -260,6 +260,10 @@ def _parse_header(
         words_size,
     ) = _HEADER.unpack_from(payload)
     token_counts, pos = _read_plane(payload, _HEADER.size, file_count)
+    if sum(token_counts) != total_tokens:
+        raise FeatureMismatchError(
+            f"token count {total_tokens} != file table sum {sum(token_counts)}"
+        )
     separators, pos = _read_plane(payload, pos, file_count)
     names = _read_blob(payload, pos, names_size, _NAME_SEP, file_count, "file name")
     header = ContainerHeader(
@@ -331,43 +335,33 @@ def _verify_features(header, dictionary: Dictionary, grammar: Grammar) -> None:
 def _grammar_token_count(grammar: Grammar) -> int:
     """Word tokens in the expansion, via each rule's expanded length.
 
-    The rules are ordered parents first over their references, which also
-    finds cycles and unreachable rules; lengths then fill in children
-    first, each a sum over the body, so no body is expanded.
+    Rules are stored parents first, so one pass from the last rule back to
+    the root fills in each length from lengths already known; a reference
+    to a length not yet filled in is a cycle or a rule out of order. In that
+    order a referenced rule is reachable from the root, so every non-root
+    rule must be referenced.
     """
     n = grammar.n_terminals
     rules = grammar.rules
     rule_count = len(rules)
     if not rule_count:
         raise ContainerError("grammar has no root rule")
-    # a child listed twice is counted twice below, so only long bodies,
-    # where repeats are common, pay for a set
-    children = [
-        [sym - n for sym in (set(body) if len(body) > 16 else body) if sym >= n]
-        for body in rules
-    ]
-    in_deg = [0] * rule_count
+    # words in each symbol's expansion: 1 per word, 0 per separator, None
+    # for a rule not yet filled in
+    length = [1] * grammar.n_words + [0] * (n - grammar.n_words) + [None] * rule_count
+    expanded = length.__getitem__
     try:
-        for kids in children:
-            for kid in kids:
-                in_deg[kid] += 1
+        for rid, body in zip(range(n + rule_count - 1, n - 1, -1), reversed(rules)):
+            length[rid] = sum(map(expanded, body))
     except IndexError:
         raise ContainerError("grammar references an undefined rule") from None
-    order = [0]
-    if in_deg[0] == 0:
-        for index in order:
-            for kid in children[index]:
-                in_deg[kid] -= 1
-                if in_deg[kid] == 0:
-                    order.append(kid)
-    if in_deg[0] or len(order) != rule_count:
-        raise ContainerError("grammar graph is cyclic or has unreachable rules")
-
-    # words in each symbol's expansion: 1 per word, 0 per separator
-    length = [1] * grammar.n_words + [0] * (n - grammar.n_words + rule_count)
-    expanded = length.__getitem__
-    for index in reversed(order):
-        length[n + index] = sum(map(expanded, rules[index]))
+    except TypeError:
+        raise ContainerError(
+            f"grammar graph is cyclic or not stored parents first (rule {rid})"
+        ) from None
+    referenced = set(itertools.chain.from_iterable(rules))
+    if not referenced.issuperset(range(n + 1, n + rule_count)):
+        raise ContainerError("grammar has unreachable rules")
     return length[n]
 
 

@@ -36,7 +36,7 @@ class Dag:
     root_id: int
     nodes: dict[int, Node]
     segments: list[tuple[int, int]]  # root-body span per file, separator excluded
-    topo: list[int]  # parents before children, root first
+    topo: list[int]  # rule ids in order: root first, parents before children
 
     def is_rule(self, symbol: int) -> bool:
         return symbol >= self.n_terminals
@@ -52,7 +52,9 @@ class Dag:
 def load_merge_graph(grammar: Grammar) -> Dag:
     """Build nodes with merged weighted edges and per-file root segments.
 
-    Nodes borrow the grammar's body lists; neither side mutates them.
+    The grammar's rules must be stored parents first (see
+    `sequitur.parents_first`), so rule-id order is the DAG's topological
+    order. Nodes borrow the grammar's body lists; neither side mutates them.
     """
     n = grammar.n_terminals
     n_words = grammar.n_words
@@ -79,16 +81,23 @@ def load_merge_graph(grammar: Grammar) -> Dag:
                         in_edges[sym - n] += 1
                     elif sym < n_words:
                         term_counts[sym] = term_counts.get(sym, 0) + 1
+            if child_counts and min(child_counts) <= rid:
+                raise GrammarError(
+                    f"rule {rid} references rule {min(child_counts)}: the grammar "
+                    "is cyclic or not stored parents first"
+                )
             nodes[rid] = Node(body, term_counts, child_counts)
     except IndexError:
         raise GrammarError(f"rule {rid} references an undefined rule") from None
+    # parents first, a rule with a parent is reachable from the root
+    if in_edges.count(0) > 1:
+        raise GrammarError("grammar has unreachable rules")
     for node, count in zip(nodes.values(), in_edges):
         node.in_edges = count
 
     root_id = grammar.root_id
     segments = _root_segments(nodes[root_id], n_words, n)
-    topo = _topo_order(nodes, in_edges, root_id)
-    return Dag(n, n_words, root_id, nodes, segments, topo)
+    return Dag(n, n_words, root_id, nodes, segments, list(nodes))
 
 
 # bodies longer than this are counted with Counter
@@ -129,21 +138,6 @@ def _root_segments(root: Node, n_words: int, n: int) -> list[tuple[int, int]]:
     return segments
 
 
-def _topo_order(nodes: dict[int, Node], in_edges: list[int], root_id: int) -> list[int]:
-    """Rule ids, root first, each after the last of its parents (Kahn's order)."""
-    remaining = list(in_edges)
-    order = [root_id]
-    for rid in order:
-        for child, mult in nodes[rid].child_counts.items():
-            left = remaining[child - root_id] - mult
-            remaining[child - root_id] = left
-            if not left:
-                order.append(child)
-    if len(order) != len(nodes):
-        raise GrammarError("grammar graph is cyclic or has unreachable rules")
-    return order
-
-
 def coarsen(dag: Dag, threshold: int = 100) -> Dag:
     """Inline every non-root node with fewer than `threshold` elements.
 
@@ -169,7 +163,9 @@ def coarsen(dag: Dag, threshold: int = 100) -> Dag:
         else:
             final[rid] = elements
 
-    survivors = [dag.root_id] + sorted(rid for rid in final if rid != dag.root_id)
+    # a surviving rule's references are to its descendants, so the old ids'
+    # order stays parents first
+    survivors = sorted(final)
     mapping = {rid: dag.n_terminals + i for i, rid in enumerate(survivors)}
     bodies = []
     for rid in survivors:

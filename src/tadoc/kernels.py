@@ -1,9 +1,10 @@
 """Analytics kernels that run directly on the grammar DAG.
 
 Whole-corpus word counts and the inverted index fold or push the
-merged-edge tables over `dag.topo`, which lists every parent before its
-children: the in-edge gate is applied once, when the DAG is loaded, and a
-node's frequency or file set is complete when its turn comes.
+merged-edge tables over `dag.topo`. Grammars number their rules parents
+first, so `dag.topo` is plain rule-id order and lists every parent before
+its children: a node's frequency or file set is complete when its turn
+comes, and the per-file push-down below orders its heap by rule id.
 
 Per-file tasks share one push-down (`_push_down`): a file's table is what
 its root segment holds directly plus each reached rule's own table times
@@ -210,10 +211,9 @@ def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Cou
     tables are added to in place and returned.
     """
     nodes = dag.nodes
-    topo = dag.topo
     # rules with something to count in their expansion: (such children, own table)
     counted: dict[int, tuple[list[tuple[int, int]], dict]] = {}
-    for rid in reversed(topo):
+    for rid in reversed(dag.topo):
         if rid != dag.root_id:
             children = [
                 (child, mult)
@@ -223,18 +223,17 @@ def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Cou
             if own[rid] or children:
                 counted[rid] = (children, own[rid])
 
-    position = {rid: i for i, rid in enumerate(topo)}
     root = nodes[dag.root_id].elements
     for (start, end), table in zip(dag.segments, seeds):
         freq: dict[int, int] = {}
         for sym in root[start:end]:
             if sym in counted:
                 freq[sym] = freq.get(sym, 0) + 1
-        # topo lists parents first: a rule's frequency is complete when popped
-        heap = [position[rid] for rid in freq]
+        # rule ids number parents first: a rule's frequency is complete when popped
+        heap = list(freq)
         heapq.heapify(heap)
         while heap:
-            rid = topo[heapq.heappop(heap)]
+            rid = heapq.heappop(heap)
             f = freq[rid]
             children, rule_table = counted[rid]
             for child, mult in children:
@@ -242,7 +241,7 @@ def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Cou
                     freq[child] += f * mult
                 else:
                     freq[child] = f * mult
-                    heapq.heappush(heap, position[child])
+                    heapq.heappush(heap, child)
             for key, count in rule_table.items():
                 table[key] += count * f
     return seeds

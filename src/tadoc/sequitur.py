@@ -16,6 +16,7 @@ proportional to the compressed size rather than the stream length.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .corpus import MalformedStreamError
@@ -32,6 +33,10 @@ class Grammar:
     Codes below ``n_terminals`` are terminals; rule ids are assigned densely
     from ``n_terminals`` upward, root first. Separator codes occupy
     [n_words, n_terminals) and only ever appear in the root body.
+
+    Inferred grammars, containers and the DAG number rules parents first:
+    every rule id in rule i's body is greater than i (`parents_first`
+    renumbers any acyclic grammar so).
     """
 
     n_terminals: int
@@ -236,19 +241,27 @@ class _Builder:
             self._check(last)
 
     def finalize(self) -> Grammar:
-        live = sorted(self.rules)  # creation order; root is the oldest
-        mapping = {old: self.n + i for i, old in enumerate(live)}
-        bodies = []
-        for old in live:
-            guard = self.rules[old]
-            body = []
+        """The grammar, its live rules numbered parents first."""
+        n = self.n
+        bodies: dict[int, list[int]] = {}
+
+        def walk(rid: int) -> list[int]:
+            guard = self.rules[rid]
+            body = bodies[rid] = []
             slot = self.nxt[guard]
             while slot != guard:
-                v = self.val[slot]
-                body.append(mapping[v] if v >= self.n else v)
+                body.append(self.val[slot])
                 slot = self.nxt[slot]
-            bodies.append(body)
-        return Grammar(self.n, self.sep_lo, bodies)
+            return body
+
+        # a rule's use sites are the references to it in the live bodies
+        in_edges = {rid: len(sites) for rid, sites in self.use_sites.items()}
+        order = _parents_first_order(self.root, n, in_edges, walk)
+        number = {rid: n + i for i, rid in enumerate(order)}
+        rules = [bodies[rid] for rid in order]
+        for body in rules:
+            body[:] = [number[v] if v >= n else v for v in body]
+        return Grammar(n, self.sep_lo, rules)
 
 
 def infer_grammar(
@@ -275,6 +288,58 @@ def infer_grammar(
             raise MalformedStreamError(f"code {code} out of range (N={n_terminals})")
         append(code)
     return builder.finalize()
+
+
+def parents_first(grammar: Grammar) -> Grammar:
+    """`grammar` with its rules renumbered parents first.
+
+    The root stays rule 0, and every rule id in rule i's body is greater
+    than i; the expansion is unchanged. Raises GrammarError for an
+    undefined, cyclic or unreachable rule.
+    """
+    n = grammar.n_terminals
+    rules = grammar.rules
+    if not rules:
+        raise GrammarError("grammar has no rules")
+    in_edges = dict.fromkeys(range(n, n + len(rules)), 0)
+    try:
+        for body in rules:
+            for sym in body:
+                if sym >= n:
+                    in_edges[sym] += 1
+    except KeyError as exc:
+        raise GrammarError(f"dangling rule id {exc.args[0]}") from None
+    order = _parents_first_order(n, n, in_edges, lambda rid: rules[rid - n])
+    number = {rid: n + i for i, rid in enumerate(order)}
+    return Grammar(
+        n,
+        grammar.n_words,
+        [[number[v] if v >= n else v for v in rules[rid - n]] for rid in order],
+    )
+
+
+def _parents_first_order(
+    root: int, n: int, in_edges: dict[int, int], body: Callable[[int], list[int]]
+) -> list[int]:
+    """Rule ids in Kahn's order from `root`, each after every rule that
+    references it.
+
+    `in_edges` holds every rule's reference count and is used up. Bodies,
+    from `body`, are read in that order, once each, and a rule is placed
+    when the last reference to it has been read.
+    """
+    order = [root]
+    if not in_edges[root]:
+        for rid in order:
+            for sym in body(rid):
+                if sym >= n:
+                    left = in_edges[sym] - 1
+                    in_edges[sym] = left
+                    if not left:
+                        order.append(sym)
+    if in_edges[root] or len(order) != len(in_edges):
+        raise GrammarError("grammar graph is cyclic or has unreachable rules")
+    return order
 
 
 def expand(grammar: Grammar) -> list[int]:
@@ -309,33 +374,14 @@ def expand(grammar: Grammar) -> list[int]:
 def grammar_stats(grammar: Grammar) -> tuple[int, int, int]:
     """(rule count, total symbols across bodies, max rule depth)."""
     n = grammar.n_terminals
-    rules = grammar.rules
-    total = sum(len(body) for body in rules)
-    depth: dict[int, int] = {}
-    in_progress: set[int] = set()
-    for start in range(len(rules)):
-        if start in depth:
-            continue
-        stack: list[tuple[int, bool]] = [(start, False)]
-        while stack:
-            index, expanded = stack.pop()
-            if expanded:
-                children = [depth[sym - n] for sym in rules[index] if sym >= n]
-                depth[index] = 1 + max(children, default=0)
-                in_progress.discard(index)
-                continue
-            if index in depth:
-                continue
-            if index in in_progress:
-                raise GrammarError("rule reference cycle")
-            in_progress.add(index)
-            stack.append((index, True))
-            for sym in rules[index]:
-                if sym >= n and (sym - n) not in depth:
-                    if (sym - n) in in_progress:
-                        raise GrammarError("rule reference cycle")
-                    stack.append((sym - n, False))
-    return len(rules), total, max(depth.values(), default=0)
+    rules = parents_first(grammar).rules
+    # parents first: each rule's children have their depth when it is reached
+    depth = [0] * len(rules)
+    for index in range(len(rules) - 1, -1, -1):
+        depth[index] = 1 + max(
+            (depth[sym - n] for sym in rules[index] if sym >= n), default=0
+        )
+    return len(rules), sum(map(len, rules)), max(depth)
 
 
 def rule_reference_counts(grammar: Grammar) -> dict[int, int]:

@@ -1,3 +1,4 @@
+import gc
 import gzip
 import json
 import os
@@ -98,8 +99,12 @@ def test_container_faults_exit_3(capsys, tmp_path):
     rules = [list(body) for body in grammar.rules]
     rules[0][-2:] = rules[0][-1], rules[0][-2]
     moved = Grammar(grammar.n_terminals, grammar.n_words, rules)
+    # file f1's token count, in the low-byte plane after the 32-byte header
+    tokens = bytearray(blob)
+    tokens[16 + 32 + 1] += 1
     cases = {
         "name": (reseal(blob.replace(b"zz", b"\xff\xfe")), True),
+        "tokens": (reseal(bytes(tokens)), True),
         "word": (reseal(blob.replace(b"qq", b"\xff\xfe")), False),
         "root": (write_container(dictionary, moved, encoded.file_table, False), False),
     }
@@ -110,6 +115,68 @@ def test_container_faults_exit_3(capsys, tmp_path):
         assert (code, err.startswith("error: ")) == (3, True), case
         code, _, _ = run(capsys, ["features", str(path)])
         assert code == (3 if header_fault else 0), case
+
+
+def test_analyze_pauses_the_cyclic_collector(
+    capsys, ref_container, tmp_path, monkeypatch
+):
+    from tadoc import cli
+
+    seen = []
+    run_task = cli.run_task
+
+    def recording_run_task(*args):
+        seen.append(gc.isenabled())
+        return run_task(*args)
+
+    monkeypatch.setattr(cli, "run_task", recording_run_task)
+    bad = tmp_path / "bad.tdoc"
+    bad.write_bytes(ref_container.read_bytes()[:-1])
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            code, _, _ = run(capsys, ["analyze", str(ref_container), "word-count"])
+            assert (code, gc.isenabled()) == (0, enabled)
+            code, _, _ = run(capsys, ["analyze", str(bad), "word-count"])
+            assert (code, gc.isenabled()) == (3, enabled)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert seen == [False, False]
+
+
+def test_bench_runs_repeat_r_of_every_engine_before_repeat_r_plus_1(
+    capsys, corpus_dir, tmp_path, monkeypatch
+):
+    from tadoc import cli
+
+    calls = []
+    phases = {"io": 0.0, "init": 0.0, "compute": 1.0}
+
+    def fake_cd(*args):
+        calls.append("cd")
+        return dict(phases)
+
+    def fake_raw(task, pairs, l, top_k, gz):
+        calls.append("gzip" if gz else "baseline")
+        return dict(phases)
+
+    monkeypatch.setattr(cli, "_bench_cd", fake_cd)
+    monkeypatch.setattr(cli, "_bench_raw", fake_raw)
+    code, out, _ = run(capsys, [
+        "bench", str(corpus_dir), "word-count", "--repeat", "3",
+        "--engines", "gzip,cd,baseline", "--output", "json",
+        "--workdir", str(tmp_path / "bench"),
+    ])
+    assert code == 0
+    assert calls == ["gzip", "cd", "baseline"] * 3
+    report = json.loads(out)
+    assert list(report["engines"]) == ["gzip", "cd", "baseline"]
+    assert all(len(engine["runs"]) == 3 for engine in report["engines"].values())
 
 
 def test_checksum_mismatch_exit_3(capsys, ref_container, tmp_path):

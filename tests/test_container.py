@@ -8,7 +8,8 @@ import pytest
 from conftest import random_corpus, repetitive_corpus, reseal
 from tadoc import container as C
 from tadoc.corpus import Dictionary, FileEntry, encode_corpus
-from tadoc.sequitur import Grammar, infer_grammar
+from tadoc.dag import load_merge_graph
+from tadoc.sequitur import Grammar, GrammarError, expand, infer_grammar, parents_first
 
 
 def build(files):
@@ -82,6 +83,22 @@ def test_version_1_is_rejected():
     for read in (C.read_container, C.read_header):
         with pytest.raises(C.UnsupportedVersionError, match="version 1"):
             read(v1)
+
+
+def test_version_2_is_rejected():
+    # the version-2 encoding of one file "f0" holding "a b a b"
+    v2 = bytes.fromhex(
+        "54444f43 02 00 5b9ed368" + "00" * 6
+        + "03000000 02000000 01000000 04000000 02000000 02000000 02000000 03000000"
+        + "04000000 02000000 6630 610a62"
+        + "0302" + "00" * 6 + "0404020001" + "00" * 15
+    )
+    for read in (C.read_container, C.read_header):
+        with pytest.raises(C.UnsupportedVersionError, match="version 2"):
+            read(v2)
+    # the same bytes with the current version byte are a valid container
+    current = C.read_container(v2[:4] + bytes([C.VERSION]) + v2[5:])
+    assert current[1].rules == [[4, 4, 2], [0, 1]]
 
 
 def test_checksum_mismatch_is_rejected():
@@ -207,6 +224,58 @@ def test_cyclic_grammar_is_rejected():
     blob = C.write_container(dictionary, back_edge, encoded.file_table, False)
     with pytest.raises(C.ContainerError, match="cyclic"):
         C.read_container(blob)
+
+
+def renumbered(grammar, order):
+    """`grammar` with rule `order[i]` stored as rule i."""
+    n = grammar.n_terminals
+    number = {n + old: n + new for new, old in enumerate(order)}
+    rules = [
+        [number.get(sym, sym) for sym in grammar.rules[old]] for old in order
+    ]
+    return Grammar(n, grammar.n_words, rules)
+
+
+def test_rules_not_stored_parents_first_are_rejected():
+    dictionary, encoded, grammar = build([("f0", "a b c a b d a b c a b d a b a")])
+    n = grammar.n_terminals
+    assert len(grammar.rules) == 3 and n + 2 in grammar.rules[1]
+    # acyclic, but rule 1 references rule 2 and rule 2 now comes first
+    swapped = renumbered(grammar, [0, 2, 1])
+    assert expand(swapped) == expand(grammar)
+    blob = C.write_container(dictionary, swapped, encoded.file_table, False)
+    with pytest.raises(C.ContainerError, match="cyclic or not stored parents first"):
+        C.read_container(blob)
+    with pytest.raises(GrammarError, match="not stored parents first"):
+        load_merge_graph(swapped)
+    # parents_first restores the stored order
+    assert parents_first(swapped) == grammar
+
+
+def test_unreferenced_rule_is_rejected():
+    dictionary, encoded, grammar = build([("f0", "a b a b")])
+    n = grammar.n_terminals
+    orphan = Grammar(n, grammar.n_words, grammar.rules + [[0, 1]])
+    blob = C.write_container(dictionary, orphan, encoded.file_table, False)
+    with pytest.raises(C.ContainerError, match="unreachable"):
+        C.read_container(blob)
+    with pytest.raises(GrammarError, match="unreachable"):
+        load_merge_graph(orphan)
+    with pytest.raises(GrammarError, match="unreachable"):
+        parents_first(orphan)
+
+
+def test_file_token_counts_must_sum_to_total():
+    dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
+    blob = bytearray(C.write_container(dictionary, grammar, encoded.file_table, False))
+    # the low-byte plane of the token counts follows the 32-byte header block
+    offset = C.PREAMBLE_SIZE + 32
+    assert list(blob[offset : offset + 2]) == [4, 2]
+    blob[offset + 1] += 1
+    bad = reseal(bytes(blob))
+    for read in (C.read_container, C.read_header):
+        with pytest.raises(C.FeatureMismatchError, match="file table sum 7"):
+            read(bad)
 
 
 def test_undefined_or_missing_rules_are_rejected():

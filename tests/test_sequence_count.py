@@ -15,7 +15,7 @@ from tadoc import kernels, oracle
 from tadoc.corpus import Dictionary, encode_corpus, tokenize
 from tadoc.dag import load_merge_graph
 from tadoc.scheduler import run_parallel
-from tadoc.sequitur import Grammar
+from tadoc.sequitur import Grammar, parents_first
 
 LENGTHS = range(2, 9)
 
@@ -135,12 +135,13 @@ def test_words_with_underscores_sum_like_the_oracle():
 
 def test_doubling_grammar_is_counted_without_expansion():
     # R0 -> a b, Ri -> Ri-1 Ri-1, root -> R39 separator: (a b) repeated
-    # 2^39 times, 2^40 tokens; the counts follow from the grammar alone
+    # 2^39 times, 2^40 tokens; the counts follow from the grammar alone.
+    # The rules are built children first and renumbered parents first.
     depth = 40
     n = 3  # a, b and one file separator
     rules = [[n + depth, 2], [0, 1]]
     rules += [[n + i, n + i] for i in range(1, depth)]
-    dag = load_merge_graph(Grammar(n, 2, rules))
+    dag = load_merge_graph(parents_first(Grammar(n, 2, rules)))
     dictionary = Dictionary(["a", "b"], 1)
     half = 2 ** (depth - 1)
     expected = {

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_corpus, random_stream
 from tadoc.corpus import MalformedStreamError, encode_corpus
@@ -11,6 +12,7 @@ from tadoc.sequitur import (
     expand,
     grammar_stats,
     infer_grammar,
+    parents_first,
     rule_reference_counts,
 )
 
@@ -137,3 +139,51 @@ def test_determinism():
     rng = random.Random(11)
     stream, n = random_stream(rng)
     assert infer_grammar(stream, n) == infer_grammar(stream, n)
+
+
+def is_parents_first(grammar: Grammar) -> bool:
+    n = grammar.n_terminals
+    return all(
+        sym > n + index
+        for index, body in enumerate(grammar.rules)
+        for sym in body
+        if sym >= n
+    )
+
+
+@st.composite
+def streams_with_separators(draw):
+    """(stream, n_terminals, n_words): words drawn from a small vocabulary,
+    repeated blocks included, then each separator code once, in order."""
+    n_words = draw(st.integers(1, 6))
+    files = draw(st.integers(1, 4))
+    stream = []
+    for sep in range(n_words, n_words + files):
+        block = draw(st.lists(st.integers(0, n_words - 1), max_size=8))
+        stream += block * draw(st.integers(0, 6))
+        stream += draw(st.lists(st.integers(0, n_words - 1), max_size=20))
+        stream.append(sep)
+    return stream, n_words + files, n_words
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams_with_separators(), st.randoms(use_true_random=False))
+def test_inferred_grammars_are_parents_first(case, rng):
+    stream, n, n_words = case
+    grammar = infer_grammar(stream, n, n_words)
+    assert is_parents_first(grammar)
+    assert parents_first(grammar) == grammar
+    # any other numbering is put back in an order that expands the same
+    order = [0] + rng.sample(range(1, len(grammar.rules)), len(grammar.rules) - 1)
+    number = {n + old: n + new for new, old in enumerate(order)}
+    rules = [[number.get(sym, sym) for sym in grammar.rules[old]] for old in order]
+    shuffled = Grammar(n, n_words, rules)
+    renumbered = parents_first(shuffled)
+    assert is_parents_first(renumbered)
+    assert expand(renumbered) == expand(shuffled) == stream
+
+
+def test_parents_first_rejects_cycles_and_dangling_rules():
+    for rules in ([[4], [0, 3]], [[4], [5, 0], [4, 1]], [[4, 9], [0, 1]], []):
+        with pytest.raises(GrammarError):
+            parents_first(Grammar(3, 3, rules))
