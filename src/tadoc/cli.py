@@ -67,7 +67,24 @@ def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, 
             pairs.append((path, path))
     if not pairs:
         raise CorpusError("no input files")
+    _check_names([name for name, _ in pairs], CorpusError)
     return pairs
+
+
+def _check_names(names: list[str], error: type[Exception]) -> None:
+    """Raise `error` unless each name, normalized, makes a file path of its
+    own: not ".", not another name's path, not a directory of one."""
+    paths = [os.path.normpath(name) for name in names]
+    dirs = {
+        os.sep.join(parts[:i])
+        for parts in (path.split(os.sep) for path in paths)
+        for i in range(1, len(parts))
+    }
+    seen: set[str] = set()
+    for name, path in zip(names, paths):
+        if path == "." or path in seen or path in dirs:
+            raise error(f"file name {name!r} is empty, repeated or another's directory")
+        seen.add(path)
 
 
 def _read_text(path: str) -> str:
@@ -231,14 +248,16 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     with open(args.container, "rb") as handle:
         dictionary, grammar, header = read_container(handle.read())
+    names = [entry.name for entry in header.file_table]
+    for name in names:
+        if os.path.isabs(name) or ".." in name.split(os.sep):
+            raise ContainerError(f"unsafe file name in container: {name!r}")
+    _check_names(names, ContainerError)
     symbols = expand(grammar)
     decoded = decode_stream(symbols, dictionary)
     os.makedirs(args.out, exist_ok=True)
-    for (index, tokens), entry in zip(decoded, header.file_table):
-        name = entry.name
-        if os.path.isabs(name) or ".." in name.split(os.sep):
-            raise ContainerError(f"unsafe file name in container: {name!r}")
-        path = os.path.join(args.out, name)
+    for (_, tokens), name in zip(decoded, names):
+        path = os.path.join(args.out, os.path.normpath(name))
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(" ".join(tokens))

@@ -11,7 +11,10 @@ its root segment holds directly plus each reached rule's own table times
 the rule's frequency in the segment. For word counts a rule's own table is
 its terminal counts. For l-word windows one bottom-up pass first keeps each
 rule's first and last l-1 words (its edge summary) and counts the windows
-that cross the boundaries between its elements (its crossing table).
+that cross the boundaries between its elements (its crossing table). Window
+tables are keyed by gram name, the words joined with "_", from the first
+window on: a `str` caches its hash, and grams that join alike (words may
+contain "_") are summed where they are counted, as the oracle sums them.
 
 `file_tables` gives the per-file tables a task needs and `finish` turns
 them into its result; the per-file kernels and `run_parallel`, whose
@@ -193,11 +196,12 @@ def _inverted_preorder(dag: Dag, kind: str) -> dict[int, set[int]]:
 # -- per-file tables -----------------------------------------------------------
 
 
-def file_tables(task: str, dag: Dag, l: int = 3) -> list[Counter]:
-    """Per file: l-word window counts for the order-sensitive tasks, word-code
-    counts for the others; `finish` turns them into the task's result."""
+def file_tables(task: str, dag: Dag, words: list[str], l: int = 3) -> list[Counter]:
+    """Per file: l-word window counts keyed by gram name for the
+    order-sensitive tasks, word-code counts for the others; `finish` turns
+    them into the task's result. `words` names the word codes."""
     if task in ORDER_SENSITIVE:
-        return _gram_tables(dag, l)
+        return _gram_tables(dag, words, l)
     return _per_file_code_counts(dag)
 
 
@@ -232,6 +236,8 @@ def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Cou
         # rule ids number parents first: a rule's frequency is complete when popped
         heap = list(freq)
         heapq.heapify(heap)
+        # a bound get: `Counter.__missing__` is a Python call per new key
+        get = table.get
         while heap:
             rid = heapq.heappop(heap)
             f = freq[rid]
@@ -243,7 +249,7 @@ def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Cou
                     freq[child] = f * mult
                     heapq.heappush(heap, child)
             for key, count in rule_table.items():
-                table[key] += count * f
+                table[key] = get(key, 0) + count * f
     return seeds
 
 
@@ -263,15 +269,17 @@ def _per_file_code_counts(dag: Dag) -> list[Counter]:
 def finish(
     task: str, tables: list[Counter], dictionary: Dictionary, top_k: int | None = None
 ):
-    """The result of `task` from the per-file tables of `file_tables`.
+    """The result of `task` from the per-file tables of `file_tables`:
+    keyed by gram name for the order-sensitive tasks, whose same-name grams
+    are already summed, and by word code for the others.
 
     top_k keeps each file's first top_k terms of a term vector; None keeps
     them all.
     """
     if task == "sequence_count":
-        return gram_counts(tables, dictionary)
+        return gram_counts(tables)
     if task == "ranked_inverted_index":
-        return rank_gram_files(tables, dictionary)
+        return rank_gram_files(tables)
     words = dictionary.words
     if task == "term_vector":
         if top_k is not None and top_k < 0:
@@ -345,126 +353,93 @@ def depth_first_words(dag: Dag):
 
 
 def _crossing_windows(
-    elements: list[int], n: int, edges: dict[int, list[int]], l: int
-) -> tuple[list[int], Counter]:
+    elements: list[int], n: int, words: list[str], edges: dict[int, list[str]], l: int
+) -> tuple[list[str], Counter]:
     """Edge summary and crossing table of one run of body elements.
 
-    Each element stands for its words: a terminal for itself, a rule for
-    its edge summary from `edges`. The crossing table counts the l-word
-    windows that start in the last l-1 words of one element and end in a
-    later one; every other window lies inside one rule occurrence. Such a
-    window reaches at most l-1 words into any element, so it never needs
-    more than a rule's first and last l-1 words.
+    Each element stands for its words: a terminal for its word in `words`,
+    a rule for its edge summary from `edges`. The crossing table counts, by
+    gram name, the l-word windows that start in the last l-1 words of one
+    element and end in a later one; every other window lies inside one rule
+    occurrence. Such a window reaches at most l-1 words into any element,
+    so it never needs more than a rule's first and last l-1 words.
     """
     k = l - 1
-    words: list[int] = []
+    run: list[str] = []
     starts: list[int] = []
     for sym in elements:
-        begin = len(words)
+        begin = len(run)
         if sym < n:
-            words.append(sym)
+            run.append(words[sym])
             starts.append(begin)
         else:
-            edge = edges[sym]
-            words += edge
-            end = len(words)
+            run += edges[sym]
+            end = len(run)
             starts.extend(range(max(begin, end - k), end))
-    last = len(words) - l
-    table = Counter(tuple(words[i : i + l]) for i in starts if i <= last)
-    edge = words if len(words) <= 2 * k else words[:k] + words[-k:]
+    last = len(run) - l
+    table = Counter("_".join(run[i : i + l]) for i in starts if i <= last)
+    edge = run if len(run) <= 2 * k else run[:k] + run[-k:]
     return edge, table
 
 
-def _gram_tables(dag: Dag, l: int) -> list[Counter]:
-    """Per file: counts of every l-word window, keyed by word-code tuples.
+def _gram_tables(dag: Dag, words: list[str], l: int) -> list[Counter]:
+    """Per file: counts of every l-word window, keyed by gram name.
 
     One bottom-up pass gives each rule its edge summary (its words when
     there are at most 2(l-1), else its first and last l-1) and its crossing
     table. A file's table is the crossing windows of its root segment plus
     each reached rule's crossing table times the rule's frequency in the
-    segment.
+    segment. Grams with the same name are summed as they are counted.
     """
     if l < 2:
         raise ValueError(f"sequence length must be >= 2, got {l}")
     nodes = dag.nodes
     n = dag.n_terminals
-    edges: dict[int, list[int]] = {}
+    edges: dict[int, list[str]] = {}
     crossing: dict[int, Counter] = {}
     for rid in reversed(dag.topo):
         if rid != dag.root_id:
             edges[rid], crossing[rid] = _crossing_windows(
-                nodes[rid].elements, n, edges, l
+                nodes[rid].elements, n, words, edges, l
             )
     root = nodes[dag.root_id].elements
     seeds = [
-        _crossing_windows(root[start:end], n, edges, l)[1]
+        _crossing_windows(root[start:end], n, words, edges, l)[1]
         for start, end in dag.segments
     ]
     return _push_down(dag, crossing, seeds)
 
 
-def _gram_names(tables: list[Counter], dictionary: Dictionary) -> dict[tuple, str]:
-    """The words of each distinct gram joined with "_", decoded once."""
-    words = dictionary.words
-    names: dict[tuple, str] = {}
-    for table in tables:
-        for gram in table:
-            if gram not in names:
-                names[gram] = "_".join([words[code] for code in gram])
-    return names
-
-
-def gram_counts(tables: list[Counter], dictionary: Dictionary) -> list[dict[str, int]]:
-    """Per file: {gram: count} sorted by gram, from code-keyed tables.
-
-    Grams that decode to the same string (words may contain "_") have their
-    counts summed, as in the oracle.
-    """
-    names = _gram_names(tables, dictionary)
-    out = []
-    for table in tables:
-        pairs = sorted(zip(map(names.__getitem__, table), table.values()))
-        counts = dict(pairs)
-        if len(counts) < len(pairs):
-            counts = {}
-            for name, count in pairs:
-                counts[name] = counts.get(name, 0) + count
-        out.append(counts)
-    return out
+def gram_counts(tables: list[Counter]) -> list[dict[str, int]]:
+    """Per file: {gram: count} sorted by gram, from name-keyed tables."""
+    return [{gram: table[gram] for gram in sorted(table)} for table in tables]
 
 
 def sequence_count(
     dag: Dag, dictionary: Dictionary, l: int = 3
 ) -> list[dict[str, int]]:
     """Per file: counts of every l-word window, keyed by the joined words."""
-    return finish("sequence_count", _gram_tables(dag, l), dictionary)
+    return finish("sequence_count", _gram_tables(dag, dictionary.words, l), dictionary)
 
 
 def ranked_inverted_index(
     dag: Dag, dictionary: Dictionary, l: int = 3
 ) -> dict[str, list[tuple[int, int]]]:
     """Per l-gram: (file, count) sorted by count descending, ties by file."""
-    return finish("ranked_inverted_index", _gram_tables(dag, l), dictionary)
+    return finish(
+        "ranked_inverted_index", _gram_tables(dag, dictionary.words, l), dictionary
+    )
 
 
-def rank_gram_files(
-    tables: list[Counter], dictionary: Dictionary
-) -> dict[str, list[tuple[int, int]]]:
-    """Per gram: (file, count) by count descending, ties by file.
-
-    Takes code-keyed per-file tables; grams that decode to the same string
-    have their counts summed per file, as in `gram_counts`.
-    """
-    names = _gram_names(tables, dictionary)
+def rank_gram_files(tables: list[Counter]) -> dict[str, list[tuple[int, int]]]:
+    """Per gram: (file, count) by count descending, ties by file, from the
+    name-keyed tables of `file_tables`, where same-name grams are summed."""
     by_gram: dict[str, list[tuple[int, int]]] = {}
     for file_id, table in enumerate(tables):
-        for gram, count in zip(map(names.__getitem__, table), table.values()):
+        for gram, count in table.items():
             postings = by_gram.get(gram)
             if postings is None:
                 by_gram[gram] = [(file_id, count)]
-            elif postings[-1][0] == file_id:
-                # another code gram of this file with the same name
-                postings[-1] = (file_id, postings[-1][1] + count)
             else:
                 postings.append((file_id, count))
     ranked = {}

@@ -10,9 +10,9 @@ it exceeds h_split = S/(2*n_w) and keeping it whole would leave some
 partition above 1.25x the average worker load. Each worker compresses its
 partition against the shared dictionary and returns one table per unit (a
 whole file or one section) from `kernels.file_tables`: word-code counts,
-or l-gram counts for the order-sensitive tasks. A section's codes run l-1
-tokens past its end, so each window is counted by the one section it
-starts in and a file's table is the sum of its sections' tables.
+or l-gram counts by gram name for the order-sensitive tasks. A section's
+codes run l-1 tokens past its end, so each window is counted by the one
+section it starts in and a file's table is the sum of its sections' tables.
 `run_parallel` sums the tables per file and finishes the task from them
 with `kernels.finish`, as the one-worker kernels do, so results are
 invariant in the worker count.
@@ -148,7 +148,7 @@ def _worker(dictionary, units, task, l):
         symbols.extend(codes)
         symbols.append(word_count + index)
     grammar = infer_grammar(symbols, n_terminals, word_count)
-    return kernels.file_tables(task, load_merge_graph(grammar), l)
+    return kernels.file_tables(task, load_merge_graph(grammar), dictionary.words, l)
 
 
 def run_parallel(

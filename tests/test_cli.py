@@ -304,6 +304,39 @@ def test_decompress_round_trip(capsys, corpus_dir, tmp_path):
         assert round_tripped == original
 
 
+def test_compress_rejects_a_repeated_file_name(capsys, tmp_path):
+    for directory, text in (("d1", "a b c"), ("d2", "d e f")):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "x.txt").write_text(text)
+    out_path = tmp_path / "c.tdoc"
+    code, _, err = run(capsys, [
+        "compress", str(tmp_path / "d1"), str(tmp_path / "d2"), "--out", str(out_path)
+    ])
+    assert (code, "x.txt" in err) == (4, True)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("x.txt", "x.txt"), ("", "y"), (".", "y"), ("d", "d/x")],
+    ids=["repeated", "empty", "dot", "file-and-directory"],
+)
+def test_decompress_checks_every_name_before_writing(capsys, tmp_path, names):
+    from tadoc.container import write_container
+    from tadoc.corpus import encode_corpus
+    from tadoc.sequitur import infer_grammar
+
+    files = [(name, f"w{i} a b") for i, name in enumerate(names)]
+    dictionary, encoded = encode_corpus(files)
+    grammar = infer_grammar(encoded.symbols, dictionary.n_total, dictionary.word_count)
+    path = tmp_path / "c.tdoc"
+    path.write_bytes(write_container(dictionary, grammar, encoded.file_table, True))
+    restored = tmp_path / "restored"
+    code, _, err = run(capsys, ["decompress", str(path), "--out", str(restored)])
+    assert (code, err.startswith("error: ")) == (3, True)
+    assert not restored.exists()
+
+
 def test_dump_dict(capsys, tmp_path, corpus_dir):
     out_path = tmp_path / "c.tdoc"
     dict_path = tmp_path / "dict.tsv"

@@ -178,6 +178,26 @@ def test_split_file_sequence_count_matches_oracle():
                 assert ranked == oracle.ranked_inverted_index(files, l)
 
 
+def test_split_file_with_underscore_words_matches_oracle():
+    # (a_b, c) and (a, b_c) join alike; the worker tables are summed by name
+    rng = random.Random(53)
+    words = ["a_b", "c", "a", "b_c", "x", "_", "a_"]
+    big = " ".join(rng.choices(words, k=600))
+    files = [("big", big), ("s0", "a_b c a b_c"), ("s1", "_ a_ _")]
+    dictionary, streams = _file_streams(files)
+    for workers in (1, 2, 3):
+        if workers > 1:
+            plan = plan_partitions([len(s) for s in streams], workers)
+            assert 0 in plan.split_files
+        for l in (2, 3, 4):
+            counts = run_parallel(dictionary, streams, "sequence_count", workers, l=l)
+            assert counts == oracle.sequence_count(files, l), (workers, l)
+            ranked = run_parallel(
+                dictionary, streams, "ranked_inverted_index", workers, l=l
+            )
+            assert ranked == oracle.ranked_inverted_index(files, l), (workers, l)
+
+
 def test_run_parallel_rejects_unknown_task():
     dictionary, streams = _file_streams([("f0", "a b")])
     with pytest.raises(ValueError):

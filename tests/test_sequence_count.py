@@ -133,6 +133,16 @@ def test_words_with_underscores_sum_like_the_oracle():
     assert_exact(files)
 
 
+def test_window_tables_are_keyed_by_gram_name():
+    # grams that join alike are summed where they are counted
+    files = [("f0", "a_b c x a b_c x"), ("f1", "a b_c x")]
+    dictionary, _, dag = build_dag(files)
+    expected = [{"a_b_c_x": 2, "c_x_a": 1, "x_a_b_c": 1}, {"a_b_c_x": 1}]
+    for task in kernels.ORDER_SENSITIVE:
+        tables = kernels.file_tables(task, dag, dictionary.words, 3)
+        assert [dict(table) for table in tables] == expected, task
+
+
 def test_doubling_grammar_is_counted_without_expansion():
     # R0 -> a b, Ri -> Ri-1 Ri-1, root -> R39 separator: (a b) repeated
     # 2^39 times, 2^40 tokens; the counts follow from the grammar alone.
