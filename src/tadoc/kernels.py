@@ -6,15 +6,22 @@ first, so `dag.topo` is plain rule-id order and lists every parent before
 its children: a node's frequency or file set is complete when its turn
 comes, and the per-file push-down below orders its heap by rule id.
 
-Per-file tasks share one push-down (`_push_down`): a file's table is what
-its root segment holds directly plus each reached rule's own table times
-the rule's frequency in the segment. For word counts a rule's own table is
-its terminal counts. For l-word windows one bottom-up pass first keeps each
-rule's first and last l-1 words (its edge summary) and counts the windows
-that cross the boundaries between its elements (its crossing table). Window
-tables are keyed by gram name, the words joined with "_", from the first
-window on: a `str` caches its hash, and grams that join alike (words may
-contain "_") are summed where they are counted, as the oracle sums them.
+Per-file tasks choose a path per file (`_by_path`), reading only the
+grammar. A short file, whose root segment has at most 256 elements that
+each expand to at most 256 words, is counted over its expanded run with one
+C-level `Counter` call; rule expansions are memoized as word-code tuples,
+children first, and built only when some segment is that short. Files of
+40-120 tokens rarely repeat a rule inside themselves, so the grammar saves
+them nothing. Every other file takes the push-down (`_push_down`): its
+table is what its root segment holds directly plus each reached rule's own
+table times the rule's frequency in the segment. For word counts a rule's
+own table is its terminal counts. For l-word windows one bottom-up pass
+first keeps each rule's first and last l-1 words (its edge summary) and
+counts the windows that cross the boundaries between its elements (its
+crossing table). Window tables are keyed by gram name, the words joined
+with "_", from the first window on: a `str` caches its hash, and grams that
+join alike (words may contain "_") are summed where they are counted, as
+the oracle sums them.
 
 `file_tables` gives the per-file tables a task needs and `finish` turns
 them into its result; the per-file kernels and `run_parallel`, whose
@@ -27,6 +34,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
+from itertools import chain
 from operator import itemgetter
 
 from .bitmap import make_file_set
@@ -205,9 +215,78 @@ def file_tables(task: str, dag: Dag, words: list[str], l: int = 3) -> list[Count
     return _per_file_code_counts(dag)
 
 
-def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Counter]:
-    """Per file: its seed table plus each reached rule's `own` table times the
-    rule's frequency in the file's root segment.
+def _by_path(
+    dag: Dag,
+    count_runs: Callable[[Iterable[Iterator[int]]], list[Counter]],
+    push_down: Callable[[list[tuple[int, int]]], list[Counter]],
+) -> list[Counter]:
+    """Per file: `count_runs` over its expanded run when `_short_runs` gives
+    one, else `push_down` over its root segment. Both take and return lists
+    in file order."""
+    runs = _short_runs(dag)
+    tables = dict(zip(runs, count_runs(runs.values())))
+    rest = [file_id for file_id in range(dag.file_count) if file_id not in tables]
+    if rest:
+        tables.update(zip(rest, push_down([dag.segments[i] for i in rest])))
+    return [tables[file_id] for file_id in range(dag.file_count)]
+
+
+# A file is short when its root segment has at most _SHORT_SEGMENT elements
+# and none of them expands to more than _SHORT_RULE_WORDS words; both limits
+# are set by measurement (CHANGES.md).
+_SHORT_SEGMENT = 256
+_SHORT_RULE_WORDS = 256
+
+
+def _short_runs(dag: Dag) -> dict[int, Iterator[int]]:
+    """By file id, the word codes of each short file, as a one-pass iterator.
+
+    The expansions of rules of at most _SHORT_RULE_WORDS words are built
+    only when some segment is short enough; no longer rule is expanded.
+    """
+    short = [
+        (file_id, start, end)
+        for file_id, (start, end) in enumerate(dag.segments)
+        if end - start <= _SHORT_SEGMENT
+    ]
+    if not short:
+        return {}
+    expansions = _expansions(dag, _SHORT_RULE_WORDS)
+    too_long = {
+        rid for rid in dag.nodes if expansions[rid] is None and rid != dag.root_id
+    }
+    root = dag.nodes[dag.root_id].elements
+    runs = {}
+    for file_id, start, end in short:
+        segment = root[start:end]
+        if not too_long or too_long.isdisjoint(segment):
+            runs[file_id] = chain.from_iterable(map(expansions.__getitem__, segment))
+    return runs
+
+
+def _expansions(dag: Dag, cap: int) -> list[tuple[int, ...] | None]:
+    """By symbol: the word codes it expands to, or None for a separator, the
+    root and every rule of more than `cap` words. One pass, children first;
+    a rule over the cap is never expanded."""
+    nodes = dag.nodes
+    expansions: list = [(code,) for code in range(dag.n_words)]
+    expansions += [None] * (dag.n_terminals - dag.n_words + len(nodes))
+    for rid in reversed(dag.topo):
+        if rid != dag.root_id:
+            parts = list(map(expansions.__getitem__, nodes[rid].elements))
+            if None not in parts and sum(map(len, parts)) <= cap:
+                expansions[rid] = tuple(chain.from_iterable(parts))
+    return expansions
+
+
+def _push_down(
+    dag: Dag,
+    own: dict[int, dict],
+    segments: list[tuple[int, int]],
+    seeds: list[Counter],
+) -> list[Counter]:
+    """Per root segment: its seed table plus each reached rule's `own` table
+    times the rule's frequency in the segment.
 
     Frequencies are pushed down, parents first, only through the rules the
     segment reaches; rules with nothing to count in their expansion are
@@ -228,7 +307,7 @@ def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Cou
                 counted[rid] = (children, own[rid])
 
     root = nodes[dag.root_id].elements
-    for (start, end), table in zip(dag.segments, seeds):
+    for (start, end), table in zip(segments, seeds):
         freq: dict[int, int] = {}
         for sym in root[start:end]:
             if sym in counted:
@@ -254,16 +333,25 @@ def _push_down(dag: Dag, own: dict[int, dict], seeds: list[Counter]) -> list[Cou
 
 
 def _per_file_code_counts(dag: Dag) -> list[Counter]:
-    """Word-code counts per file: the segment's own words plus each reached
-    rule's terminal counts times its frequency in the segment."""
+    """Word-code counts per file: counted over the expanded run of a short
+    file, pushed down for the others."""
+    return _by_path(dag, _count_code_runs, partial(_push_code_counts, dag))
+
+
+def _count_code_runs(runs: Iterable[Iterator[int]]) -> list[Counter]:
+    return [Counter(run) for run in runs]
+
+
+def _push_code_counts(dag: Dag, segments: list[tuple[int, int]]) -> list[Counter]:
+    """Per segment: its own words plus each reached rule's terminal counts
+    times its frequency in the segment."""
     n = dag.n_terminals
     root = dag.nodes[dag.root_id].elements
     seeds = [
-        Counter(sym for sym in root[start:end] if sym < n)
-        for start, end in dag.segments
+        Counter(sym for sym in root[start:end] if sym < n) for start, end in segments
     ]
     own = {rid: node.term_counts for rid, node in dag.nodes.items()}
-    return _push_down(dag, own, seeds)
+    return _push_down(dag, own, segments, seeds)
 
 
 def finish(
@@ -284,13 +372,14 @@ def finish(
     if task == "term_vector":
         if top_k is not None and top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {top_k}")
-        return [
-            sorted(
-                ((words[code], count) for code, count in table.items()),
-                key=lambda item: (-item[1], item[0]),
-            )[:top_k]
-            for table in tables
-        ]
+        vectors = []
+        for table in tables:
+            items = [(words[code], count) for code, count in table.items()]
+            # by word, then stably by count descending: ties stay by word
+            items.sort(key=itemgetter(0))
+            items.sort(key=itemgetter(1), reverse=True)
+            vectors.append(items[:top_k])
+        return vectors
     if task == "tfidf":
         # the document frequency of a word is the number of files counting it
         df: Counter = Counter()
@@ -383,16 +472,35 @@ def _crossing_windows(
 
 
 def _gram_tables(dag: Dag, words: list[str], l: int) -> list[Counter]:
-    """Per file: counts of every l-word window, keyed by gram name.
+    """Per file: counts of every l-word window, keyed by gram name; counted
+    over the expanded run of a short file, pushed down for the others."""
+    if l < 2:
+        raise ValueError(f"sequence length must be >= 2, got {l}")
+    count_runs = partial(_count_gram_runs, words, l)
+    return _by_path(dag, count_runs, partial(_push_gram_tables, dag, words, l))
+
+
+def _count_gram_runs(
+    words: list[str], l: int, runs: Iterable[Iterator[int]]
+) -> list[Counter]:
+    tables = []
+    for run in runs:
+        run = list(map(words.__getitem__, run))
+        tables.append(Counter(map("_".join, zip(*(run[i:] for i in range(l))))))
+    return tables
+
+
+def _push_gram_tables(
+    dag: Dag, words: list[str], l: int, segments: list[tuple[int, int]]
+) -> list[Counter]:
+    """Per segment: the l-word windows, by gram name.
 
     One bottom-up pass gives each rule its edge summary (its words when
     there are at most 2(l-1), else its first and last l-1) and its crossing
-    table. A file's table is the crossing windows of its root segment plus
-    each reached rule's crossing table times the rule's frequency in the
-    segment. Grams with the same name are summed as they are counted.
+    table. A segment's table is its own crossing windows plus each reached
+    rule's crossing table times the rule's frequency in the segment. Grams
+    with the same name are summed as they are counted.
     """
-    if l < 2:
-        raise ValueError(f"sequence length must be >= 2, got {l}")
     nodes = dag.nodes
     n = dag.n_terminals
     edges: dict[int, list[str]] = {}
@@ -405,9 +513,9 @@ def _gram_tables(dag: Dag, words: list[str], l: int) -> list[Counter]:
     root = nodes[dag.root_id].elements
     seeds = [
         _crossing_windows(root[start:end], n, words, edges, l)[1]
-        for start, end in dag.segments
+        for start, end in segments
     ]
-    return _push_down(dag, crossing, seeds)
+    return _push_down(dag, crossing, segments, seeds)
 
 
 def gram_counts(tables: list[Counter]) -> list[dict[str, int]]:

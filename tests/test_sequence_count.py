@@ -1,12 +1,18 @@
-"""Exactness of the per-file kernels, which push rule tables down the grammar.
+"""Exactness of the per-file kernels.
 
-Every table is compared with the oracle, which slides the window over the
-plain token lists, for l = 2..8: tables and their order must be equal. The
-word tasks that share the push-down (term vector, tfidf) and both word
-count kernels are checked on the same corpora.
+A short file is counted over its expanded run, any other file by pushing
+rule tables down the grammar. Every table is compared with the oracle,
+which slides the window over the plain token lists, for l = 2..8: tables
+and their order must be equal. The word tasks (inverted index, term vector,
+tfidf) and both word count kernels are checked on the same corpora. Every
+file of the small corpora is short, so each corpus also goes through both
+per-file paths called directly; mixed corpora check which file takes which
+path.
 """
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -29,9 +35,26 @@ def _items(result):
     return result
 
 
-def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3)):
+def both_path_tables(dag, words, l=None):
+    """Per path, the per-file tables of every file: word-code counts, or
+    l-word window counts when `l` is given. Every file must be short."""
+    runs = kernels._short_runs(dag)
+    assert list(runs) == list(range(dag.file_count))
+    if l is None:
+        return [
+            kernels._count_code_runs(runs.values()),
+            kernels._push_code_counts(dag, dag.segments),
+        ]
+    return [
+        kernels._count_gram_runs(words, l, runs.values()),
+        kernels._push_gram_tables(dag, words, l, dag.segments),
+    ]
+
+
+def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths=True):
     truth = {
         "word_count": oracle.word_count(files),
+        "inverted_index": oracle.inverted_index(files),
         "term_vector": oracle.term_vector(files),
         "tfidf": oracle.tfidf(files),
     }
@@ -46,9 +69,17 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3)):
                     for variant in kernels.INDEX_VARIANTS
                 ),
             ],
+            "inverted_index": [
+                kernels.inverted_index(dag, dictionary, variant)
+                for variant in kernels.INDEX_VARIANTS
+            ],
             "term_vector": [kernels.term_vector(dag, dictionary)],
             "tfidf": [kernels.tfidf(dag, dictionary)],
         }
+        if both_paths:
+            for tables in both_path_tables(dag, dictionary.words):
+                for task in truth:
+                    got[task].append(kernels.finish(task, tables, dictionary))
         for task, results in got.items():
             for result in results:
                 assert _items(result) == _items(truth[task]), (threshold, task)
@@ -60,8 +91,8 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3)):
             assert _items(got) == _items(expected), (n, task)
 
 
-def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3)):
-    assert_words_exact(files, thresholds, workers)
+def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths=True):
+    assert_words_exact(files, thresholds, workers, both_paths)
     for l in LENGTHS:
         counts = _items(oracle.sequence_count(files, l))
         ranked = _items(oracle.ranked_inverted_index(files, l))
@@ -71,6 +102,12 @@ def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3)):
             assert _items(got) == counts, (threshold, l)
             got = kernels.ranked_inverted_index(dag, dictionary, l)
             assert _items(got) == ranked, (threshold, l)
+            if both_paths:
+                for tables in both_path_tables(dag, dictionary.words, l):
+                    got = kernels.finish("sequence_count", tables, dictionary)
+                    assert _items(got) == counts, (threshold, l)
+                    got = kernels.finish("ranked_inverted_index", tables, dictionary)
+                    assert _items(got) == ranked, (threshold, l)
         dictionary, _ = encode_corpus(files)
         streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
         for n in workers:
@@ -171,3 +208,56 @@ def test_doubling_grammar_is_counted_without_expansion():
     assert kernels.term_vector(dag, dictionary) == [[("a", half), ("b", half)]]
     # one file: every word is in every file, so ln(1 / 1) scores 0
     assert kernels.tfidf(dag, dictionary) == {"a": {0: 0.0}, "b": {0: 0.0}}
+
+
+def _fresh_text(seed, count):
+    """`count` words drawn from 5000, so that few digrams repeat."""
+    rng = random.Random(seed)
+    return " ".join(f"v{rng.randrange(5000)}" for _ in range(count))
+
+
+def test_mixed_corpus_takes_both_paths():
+    # short files, a file over the segment limit, an empty file, a file
+    # shorter than the window, and words with "_"
+    files = [
+        ("f0", "a b c a b c x_y"),
+        ("f1", _fresh_text(1, 3 * kernels._SHORT_SEGMENT) + " a b c x_y"),
+        ("f2", ""),
+        ("f3", "a_b"),
+        ("f4", "a b_c x a_b c x"),
+        ("f5", "x_y a b c " * 4),
+    ]
+    for threshold in (0, 5, 100):
+        _, _, dag = build_dag(files, threshold)
+        assert list(kernels._short_runs(dag)) == [0, 2, 3, 4, 5], threshold
+    assert_exact(files, both_paths=False)
+
+
+def test_rule_over_the_cap_is_never_expanded(monkeypatch):
+    # f1 and f2 are each one occurrence of a rule of more words than the cap
+    long_text = _fresh_text(2, kernels._SHORT_RULE_WORDS + 44)
+    files = [
+        ("f0", "a b c a b"),
+        ("f1", long_text),
+        ("f2", long_text),
+        ("f3", "c a b c"),
+    ]
+    _, _, dag = build_dag(files)
+    root = dag.nodes[dag.root_id].elements
+    (rule,) = root[slice(*dag.segments[1])]
+    assert root[slice(*dag.segments[2])] == [rule]
+    assert list(kernels._short_runs(dag)) == [0, 3]
+    assert kernels._expansions(dag, kernels._SHORT_RULE_WORDS)[rule] is None
+
+    built = []
+    expansions = kernels._expansions
+
+    def spy(dag, cap):
+        built.append(expansions(dag, cap))
+        return built[-1]
+
+    monkeypatch.setattr(kernels, "_expansions", spy)
+    assert_exact(files, both_paths=False)
+    assert built
+    longest = max(len(words) for table in built for words in table if words is not None)
+    assert longest <= kernels._SHORT_RULE_WORDS
