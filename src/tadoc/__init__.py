@@ -22,6 +22,7 @@ from .container import (
     FeatureMismatchError,
     TruncatedContainerError,
     compression_report,
+    load_container,
     read_container,
     read_header,
     write_container,
@@ -60,6 +61,7 @@ __all__ = [
     "FeatureMismatchError",
     "TruncatedContainerError",
     "compression_report",
+    "load_container",
     "read_container",
     "read_header",
     "write_container",

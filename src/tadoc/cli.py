@@ -20,8 +20,14 @@ import time
 
 from . import __version__, oracle
 from .corpus import CorpusError, decode_stream, encode_corpus, tokenize
-from .container import ContainerError, read_container, read_header, write_container
-from .dag import extract_features, load_merge_graph
+from .container import (
+    ContainerError,
+    FeatureMismatchError,
+    load_container,
+    read_header,
+    write_container,
+)
+from .dag import extract_features
 from .kernels import INDEX_VARIANTS, TASKS, run_task
 from .scheduler import run_parallel, select_variant
 from .sequitur import expand, infer_grammar
@@ -247,14 +253,19 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     with open(args.container, "rb") as handle:
-        dictionary, grammar, header = read_container(handle.read())
+        dictionary, dag, header = load_container(handle.read())
     names = [entry.name for entry in header.file_table]
     for name in names:
         if os.path.isabs(name) or ".." in name.split(os.sep):
             raise ContainerError(f"unsafe file name in container: {name!r}")
     _check_names(names, ContainerError)
-    symbols = expand(grammar)
-    decoded = decode_stream(symbols, dictionary)
+    decoded = decode_stream(expand(dag.grammar()), dictionary)
+    for (_, tokens), entry in zip(decoded, header.file_table):
+        if len(tokens) != entry.token_count:
+            raise FeatureMismatchError(
+                f"file {entry.name!r} holds {len(tokens)} tokens, the file table "
+                f"says {entry.token_count}"
+            )
     os.makedirs(args.out, exist_ok=True)
     for (_, tokens), name in zip(decoded, names):
         path = os.path.join(args.out, os.path.normpath(name))
@@ -294,13 +305,13 @@ def _analyze(args) -> int:
         raise CorpusError("engine cd expects exactly one container file")
     with open(args.inputs[0], "rb") as handle:
         data = handle.read()
-    dictionary, grammar, header = read_container(data)
+    dictionary, dag, header = load_container(data)
     names = [entry.name for entry in header.file_table]
     variant = _resolve_variant(args.variant, header)
     if args.workers > 1:
         streams: list[list[int]] = []
         current: list[int] = []
-        for sym in expand(grammar):
+        for sym in expand(dag.grammar()):
             if dictionary.is_separator(sym):
                 streams.append(current)
                 current = []
@@ -310,7 +321,6 @@ def _analyze(args) -> int:
             dictionary, streams, task, args.workers, l=args.l, top_k=args.top_k
         )
     else:
-        dag = load_merge_graph(grammar)
         result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0
@@ -349,11 +359,7 @@ def _timed(fn):
 def _bench_cd(task, container_path, variant, l, top_k):
     (data, io_s) = _timed(lambda: open(container_path, "rb").read())
 
-    def init():
-        dictionary, grammar, _ = read_container(data)
-        return dictionary, load_merge_graph(grammar)
-
-    (dictionary, dag), init_s = _timed(init)
+    (dictionary, dag, _), init_s = _timed(lambda: load_container(data))
     _, compute_s = _timed(lambda: run_task(task, dag, dictionary, variant, l, top_k))
     return {"io": io_s, "init": init_s, "compute": compute_s}
 

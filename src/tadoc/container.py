@@ -9,6 +9,12 @@ every second byte, and so on. The upper planes of small values are runs of
 zeros that DEFLATE shrinks, and the reader turns planes back into ints in a
 few C-level calls. Words and file names are each one UTF-8 blob. See
 docs/format.md for a hex-annotated example.
+
+`read_container` checks what the bytes say: preamble, CRC32, layout,
+header, file table and blob counts. The grammar's structure (parents-first
+order, defined and reachable rules, separator placement, the token total)
+is checked once, by the DAG load, which visits every rule anyway;
+`load_container` runs the read and then that load.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from array import array
 from dataclasses import dataclass
 
 from .corpus import Dictionary, FileEntry
-from .sequitur import Grammar
+from .dag import Dag, load_merge_graph
+from .sequitur import Grammar, GrammarError
 
 MAGIC = b"TDOC"
 VERSION = 3
@@ -288,7 +295,11 @@ def read_header(data: bytes) -> ContainerHeader:
 
 
 def read_container(data: bytes) -> tuple[Dictionary, Grammar, ContainerHeader]:
-    """Exact inverse of write_container; verifies the feature block."""
+    """Exact inverse of write_container.
+
+    Checks the byte layout, the CRC32, the header and the file table; the
+    grammar's structure is left to the DAG load (`load_container`).
+    """
     version, deflate = _read_preamble(data)
     payload = _payload(data, deflate)
     header, words_size, pos = _parse_header(payload, version, deflate)
@@ -307,11 +318,11 @@ def read_container(data: bytes) -> tuple[Dictionary, Grammar, ContainerHeader]:
     bodies = list(map(symbols.__getitem__, map(slice, bounds, bounds[1:])))
     grammar = Grammar(header.n_terminals, header.word_count, bodies)
 
-    _verify_features(header, dictionary, grammar)
+    _verify_features(header, dictionary)
     return dictionary, grammar, header
 
 
-def _verify_features(header, dictionary: Dictionary, grammar: Grammar) -> None:
+def _verify_features(header, dictionary: Dictionary) -> None:
     if header.vocab_size != dictionary.word_count:
         raise FeatureMismatchError(
             f"vocabulary size {header.vocab_size} != dictionary {dictionary.word_count}"
@@ -321,48 +332,25 @@ def _verify_features(header, dictionary: Dictionary, grammar: Grammar) -> None:
             f"file count {header.file_count} != separator count "
             f"{dictionary.separator_count}"
         )
-    recomputed = _grammar_token_count(grammar)
-    if recomputed != header.total_tokens:
-        raise FeatureMismatchError(
-            f"token count {header.total_tokens} != recomputed {recomputed}"
-        )
-    root = grammar.rules[0]
-    separators = range(grammar.n_words, grammar.n_terminals)
-    if root and separators and root[-1] not in separators:
-        raise ContainerError("root symbols after the last file separator")
 
 
-def _grammar_token_count(grammar: Grammar) -> int:
-    """Word tokens in the expansion, via each rule's expanded length.
+def load_container(data: bytes) -> tuple[Dictionary, Dag, ContainerHeader]:
+    """`read_container`, then the checked DAG load of its grammar.
 
-    Rules are stored parents first, so one pass from the last rule back to
-    the root fills in each length from lengths already known; a reference
-    to a length not yet filled in is a cycle or a rule out of order. In that
-    order a referenced rule is reachable from the root, so every non-root
-    rule must be referenced.
+    The load checks the grammar's structure (`dag.load_merge_graph`); a
+    fault it finds is a ContainerError here, and so is an expansion whose
+    word count differs from the header's.
     """
-    n = grammar.n_terminals
-    rules = grammar.rules
-    rule_count = len(rules)
-    if not rule_count:
-        raise ContainerError("grammar has no root rule")
-    # words in each symbol's expansion: 1 per word, 0 per separator, None
-    # for a rule not yet filled in
-    length = [1] * grammar.n_words + [0] * (n - grammar.n_words) + [None] * rule_count
-    expanded = length.__getitem__
+    dictionary, grammar, header = read_container(data)
     try:
-        for rid, body in zip(range(n + rule_count - 1, n - 1, -1), reversed(rules)):
-            length[rid] = sum(map(expanded, body))
-    except IndexError:
-        raise ContainerError("grammar references an undefined rule") from None
-    except TypeError:
-        raise ContainerError(
-            f"grammar graph is cyclic or not stored parents first (rule {rid})"
-        ) from None
-    referenced = set(itertools.chain.from_iterable(rules))
-    if not referenced.issuperset(range(n + 1, n + rule_count)):
-        raise ContainerError("grammar has unreachable rules")
-    return length[n]
+        dag = load_merge_graph(grammar)
+    except GrammarError as exc:
+        raise ContainerError(str(exc)) from None
+    if dag.total_tokens != header.total_tokens:
+        raise FeatureMismatchError(
+            f"token count {header.total_tokens} != recomputed {dag.total_tokens}"
+        )
+    return dictionary, dag, header
 
 
 # -- reporting -----------------------------------------------------------------

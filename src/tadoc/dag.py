@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .corpus import CorpusError
 from .sequitur import Grammar, GrammarError
@@ -26,7 +27,6 @@ class Node:
     elements: list[int]
     term_counts: dict[int, int]
     child_counts: dict[int, int]
-    in_edges: int = 0
 
 
 @dataclass
@@ -37,6 +37,7 @@ class Dag:
     nodes: dict[int, Node]
     segments: list[tuple[int, int]]  # root-body span per file, separator excluded
     topo: list[int]  # rule ids in order: root first, parents before children
+    total_tokens: int  # words in the expansion, separators excluded
 
     def is_rule(self, symbol: int) -> bool:
         return symbol >= self.n_terminals
@@ -48,21 +49,37 @@ class Dag:
     def file_count(self) -> int:
         return len(self.segments)
 
+    def grammar(self) -> Grammar:
+        """The rules as a Grammar again; it shares the nodes' body lists."""
+        rules = [node.elements for node in self.nodes.values()]
+        return Grammar(self.n_terminals, self.n_words, rules)
+
 
 def load_merge_graph(grammar: Grammar) -> Dag:
-    """Build nodes with merged weighted edges and per-file root segments.
+    """Build nodes with merged weighted edges and per-file root segments,
+    checking the grammar's structure in the same pass.
 
-    The grammar's rules must be stored parents first (see
-    `sequitur.parents_first`), so rule-id order is the DAG's topological
-    order. Nodes borrow the grammar's body lists; neither side mutates them.
+    Raises GrammarError unless the rules are stored parents first (see
+    `sequitur.parents_first`), every reference names a rule, every rule but
+    the root is referenced, and each separator code appears exactly once, in
+    the root only. Rule-id order is then the DAG's topological order. Nodes
+    borrow the grammar's body lists; neither side mutates them.
     """
     n = grammar.n_terminals
     n_words = grammar.n_words
     rules = grammar.rules
-    in_edges = [0] * len(rules)
-    nodes: dict[int, Node] = {}
+    if not rules:
+        raise GrammarError("grammar has no root rule")
+    root_id = grammar.root_id
+    end = n + len(rules)
+    built: list[Node] = []
+    # words in the expansion of each rule built so far; the pass runs from
+    # the last rule back to the root, so with parents first every reference
+    # is to a rule already here
+    length: dict[int, int] = {}
+    referenced: set[int] = set()
     try:
-        for rid, body in enumerate(rules, n):
+        for rid, body in zip(range(end - 1, n - 1, -1), reversed(rules)):
             # counts in first-seen order; a Counter pays off on long bodies
             # only, and most rules hold two symbols
             term_counts: dict[int, int] = {}
@@ -71,44 +88,58 @@ def load_merge_graph(grammar: Grammar) -> Dag:
                 for sym, count in Counter(body).items():
                     if sym >= n:
                         child_counts[sym] = count
-                        in_edges[sym - n] += count
                     elif sym < n_words:
                         term_counts[sym] = count
+                    elif rid != root_id:
+                        raise _separator_in_rule(sym, rid)
+                size = sum(term_counts.values()) + sum(
+                    map(mul, map(length.__getitem__, child_counts), child_counts.values())
+                )
             else:
+                size = 0
                 for sym in body:
                     if sym >= n:
                         child_counts[sym] = child_counts.get(sym, 0) + 1
-                        in_edges[sym - n] += 1
+                        size += length[sym]
                     elif sym < n_words:
                         term_counts[sym] = term_counts.get(sym, 0) + 1
-            if child_counts and min(child_counts) <= rid:
-                raise GrammarError(
-                    f"rule {rid} references rule {min(child_counts)}: the grammar "
-                    "is cyclic or not stored parents first"
-                )
-            nodes[rid] = Node(body, term_counts, child_counts)
-    except IndexError:
-        raise GrammarError(f"rule {rid} references an undefined rule") from None
-    # parents first, a rule with a parent is reachable from the root
-    if in_edges.count(0) > 1:
+                        size += 1
+                    elif rid != root_id:
+                        raise _separator_in_rule(sym, rid)
+            if child_counts:
+                referenced.update(child_counts)
+            length[rid] = size
+            built.append(Node(body, term_counts, child_counts))
+    except KeyError as exc:
+        if exc.args[0] >= end:
+            raise GrammarError(f"rule {rid} references an undefined rule") from None
+        raise GrammarError(
+            f"rule {rid} references rule {exc.args[0]}: the grammar is cyclic or "
+            "not stored parents first"
+        ) from None
+    # every reference is to a later rule, so all are reached when the
+    # references name as many rules as follow the root
+    if len(referenced) != len(rules) - 1:
         raise GrammarError("grammar has unreachable rules")
-    for node, count in zip(nodes.values(), in_edges):
-        node.in_edges = count
-
-    root_id = grammar.root_id
+    nodes = dict(zip(range(n, end), reversed(built)))
     segments = _root_segments(nodes[root_id], n_words, n)
-    return Dag(n, n_words, root_id, nodes, segments, list(nodes))
+    return Dag(n, n_words, root_id, nodes, segments, list(nodes), length[root_id])
 
 
 # bodies longer than this are counted with Counter
 _COUNTER_MIN_BODY = 16
 
 
+def _separator_in_rule(sym: int, rid: int) -> GrammarError:
+    return GrammarError(f"separator code {sym} in rule {rid}, outside the root")
+
+
 def _separator_positions(root: Node, n_words: int, n: int) -> list[int]:
     """Positions of the separator codes in the root body, in order.
 
     An encoded corpus holds each code once, in code order, which
-    `list.index` finds in C; any other placement is found by a scan.
+    `list.index` finds in C; any other placement is found by a scan, and
+    must still hold each code exactly once.
     """
     elements = root.elements
     held = len(elements) - sum(root.term_counts.values()) - sum(root.child_counts.values())
@@ -122,7 +153,13 @@ def _separator_positions(root: Node, n_words: int, n: int) -> list[int]:
             return ends
         except ValueError:
             pass
-    return [i for i, sym in enumerate(elements) if n_words <= sym < n]
+    ends = [i for i, sym in enumerate(elements) if n_words <= sym < n]
+    if len({elements[i] for i in ends}) != len(ends) or len(ends) != n - n_words:
+        raise GrammarError(
+            f"the root holds {len(ends)} separator codes; each of the "
+            f"{n - n_words} must appear exactly once"
+        )
+    return ends
 
 
 def _root_segments(root: Node, n_words: int, n: int) -> list[tuple[int, int]]:
@@ -187,14 +224,6 @@ def node_frequencies(dag: Dag) -> dict[int, int]:
     return freq
 
 
-def total_tokens(dag: Dag) -> int:
-    """Token count of the expansion, separators excluded."""
-    freq = node_frequencies(dag)
-    return sum(
-        freq[rid] * sum(node.term_counts.values()) for rid, node in dag.nodes.items()
-    )
-
-
 @dataclass
 class DatasetFeatures:
     file_count: int
@@ -225,7 +254,7 @@ def extract_features(dag: Dag, header=None) -> DatasetFeatures:
     else:
         features = DatasetFeatures(
             file_count=dag.file_count,
-            total_tokens=total_tokens(dag),
+            total_tokens=dag.total_tokens,
             vocab_size=dag.n_words,
             rule_count=len(dag.nodes),
         )

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from tadoc.cli import main
+from tadoc.cli import TASK_NAMES, main
 from tadoc.corpus import tokenize
 
 REF_TEXT = "a b c a b d a b c a b d a b a\n"
@@ -87,6 +87,39 @@ def test_malformed_container_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+# three files, "a b a b", "c d" and "e": words a..e are codes 0..4, the
+# separators 5, 6 and 7, the root is rule 8; a valid grammar is
+# root = R9 R9 sep c d sep e sep, R9 = a b
+FAULT_FILES = [("f0", "a b a b"), ("f1", "c d"), ("f2", "e")]
+FAULT_GRAMMARS = {
+    "cyclic": [[9, 9, 5, 2, 3, 6, 4, 7], [0, 9]],
+    "back-edge": [[9, 9, 5, 2, 3, 6, 4, 7], [0, 8]],
+    "out-of-order": [[10, 5, 2, 3, 6, 4, 7], [0, 1], [9, 9]],
+    "unreachable": [[9, 9, 5, 2, 3, 6, 4, 7], [0, 1], [2, 3]],
+    "undefined": [[9, 9, 5, 2, 3, 6, 11, 7], [0, 1]],
+    "root-tail": [[9, 9, 5, 2, 3, 6, 7, 4], [0, 1]],
+    "separator-in-rule": [[9, 9, 10, 4, 7], [0, 1], [5, 2, 3, 6]],
+}
+VALID_RULES = [[9, 9, 5, 2, 3, 6, 4, 7], [0, 1]]
+
+
+def fault_container(rules=VALID_RULES, token_counts=None):
+    """A container of FAULT_FILES over `rules`, with its CRC32 intact."""
+    from tadoc.container import write_container
+    from tadoc.corpus import FileEntry, encode_corpus
+    from tadoc.sequitur import Grammar
+
+    dictionary, encoded = encode_corpus(FAULT_FILES)
+    table = encoded.file_table
+    if token_counts is not None:
+        table = [
+            FileEntry(e.name, count, e.separator_code)
+            for e, count in zip(table, token_counts)
+        ]
+    grammar = Grammar(dictionary.n_total, dictionary.word_count, rules)
+    return write_container(dictionary, grammar, table, False)
+
+
 def test_container_faults_exit_3(capsys, tmp_path):
     from conftest import reseal
     from tadoc.container import write_container
@@ -107,14 +140,53 @@ def test_container_faults_exit_3(capsys, tmp_path):
         "tokens": (reseal(bytes(tokens)), True),
         "word": (reseal(blob.replace(b"qq", b"\xff\xfe")), False),
         "root": (write_container(dictionary, moved, encoded.file_table, False), False),
+        "feature-mismatch": (fault_container(token_counts=[5, 3, 2]), False),
     }
+    for case, rules in FAULT_GRAMMARS.items():
+        cases[case] = (fault_container(rules), False)
     for case, (data, header_fault) in cases.items():
         path = tmp_path / f"{case}.tdoc"
         path.write_bytes(data)
         code, _, err = run(capsys, ["analyze", str(path), "word-count"])
         assert (code, err.startswith("error: ")) == (3, True), case
+        restored = tmp_path / f"{case}-restored"
+        code, _, err = run(capsys, ["decompress", str(path), "--out", str(restored)])
+        assert (code, err.startswith("error: "), restored.exists()) == (3, True, False), case
         code, _, _ = run(capsys, ["features", str(path)])
         assert code == (3 if header_fault else 0), case
+
+
+@pytest.mark.parametrize("task", sorted(TASK_NAMES))
+def test_separator_inside_a_rule_exits_3(capsys, tmp_path, task):
+    # the expansion is the corpus's, but the root holds one separator of three
+    path = tmp_path / "c.tdoc"
+    path.write_bytes(fault_container(FAULT_GRAMMARS["separator-in-rule"]))
+    code, out, err = run(capsys, ["analyze", str(path), task])
+    assert (code, out) == (3, "")
+    assert err == "error: separator code 5 in rule 10, outside the root\n"
+
+
+def test_decompress_checks_each_file_token_count(capsys, tmp_path):
+    path = tmp_path / "c.tdoc"
+    restored = tmp_path / "restored"
+    path.write_bytes(fault_container())
+    code, _, _ = run(capsys, ["decompress", str(path), "--out", str(restored)])
+    assert code == 0
+    assert [len((restored / name).read_text().split()) for name, _ in FAULT_FILES] == [
+        4, 2, 1
+    ]
+    # the same sum over the files, so the header and the grammar still agree
+    path.write_bytes(fault_container(token_counts=[3, 3, 1]))
+    restored = tmp_path / "restored-again"
+    code, _, err = run(capsys, ["decompress", str(path), "--out", str(restored)])
+    assert (code, err) == (
+        3, "error: file 'f0' holds 4 tokens, the file table says 3\n"
+    )
+    assert not restored.exists()
+    # analyze does not read the per-file counts
+    code, out, _ = run(capsys, ["analyze", str(path), "term-vector"])
+    assert code == 0
+    assert out.splitlines()[-1] == "f2\te\t1"
 
 
 def test_analyze_pauses_the_cyclic_collector(

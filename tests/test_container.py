@@ -150,7 +150,7 @@ def test_writer_rejects_what_the_layout_cannot_hold():
         dictionary, Grammar(grammar.n_terminals, grammar.n_words, rules), table, False
     )
     with pytest.raises(C.ContainerError, match="undefined rule"):
-        C.read_container(blob)
+        C.load_container(blob)
 
 
 def test_random_byte_flips_are_rejected_or_harmless():
@@ -217,13 +217,13 @@ def test_cyclic_grammar_is_rejected():
     cyclic = Grammar(n, grammar.n_words, rules)
     blob = C.write_container(dictionary, cyclic, encoded.file_table, False)
     with pytest.raises(C.ContainerError, match="cyclic"):
-        C.read_container(blob)
+        C.load_container(blob)
     # a rule that references the root
     rules[-1] = [0, n]
     back_edge = Grammar(n, grammar.n_words, rules)
     blob = C.write_container(dictionary, back_edge, encoded.file_table, False)
     with pytest.raises(C.ContainerError, match="cyclic"):
-        C.read_container(blob)
+        C.load_container(blob)
 
 
 def renumbered(grammar, order):
@@ -245,7 +245,7 @@ def test_rules_not_stored_parents_first_are_rejected():
     assert expand(swapped) == expand(grammar)
     blob = C.write_container(dictionary, swapped, encoded.file_table, False)
     with pytest.raises(C.ContainerError, match="cyclic or not stored parents first"):
-        C.read_container(blob)
+        C.load_container(blob)
     with pytest.raises(GrammarError, match="not stored parents first"):
         load_merge_graph(swapped)
     # parents_first restores the stored order
@@ -258,7 +258,7 @@ def test_unreferenced_rule_is_rejected():
     orphan = Grammar(n, grammar.n_words, grammar.rules + [[0, 1]])
     blob = C.write_container(dictionary, orphan, encoded.file_table, False)
     with pytest.raises(C.ContainerError, match="unreachable"):
-        C.read_container(blob)
+        C.load_container(blob)
     with pytest.raises(GrammarError, match="unreachable"):
         load_merge_graph(orphan)
     with pytest.raises(GrammarError, match="unreachable"):
@@ -286,11 +286,11 @@ def test_undefined_or_missing_rules_are_rejected():
     dangling = Grammar(n, grammar.n_words, rules)
     blob = C.write_container(dictionary, dangling, encoded.file_table, False)
     with pytest.raises(C.ContainerError, match="undefined rule"):
-        C.read_container(blob)
+        C.load_container(blob)
     rootless = Grammar(n, grammar.n_words, [])
     blob = C.write_container(dictionary, rootless, encoded.file_table, False)
     with pytest.raises(C.ContainerError, match="no root rule"):
-        C.read_container(blob)
+        C.load_container(blob)
 
 
 def test_non_utf8_names_and_words_are_container_errors():
@@ -314,7 +314,37 @@ def test_root_symbols_after_last_separator_are_rejected():
     moved = Grammar(grammar.n_terminals, grammar.n_words, rules)
     blob = C.write_container(dictionary, moved, encoded.file_table, False)
     with pytest.raises(C.ContainerError, match="after the last file separator"):
-        C.read_container(blob)
+        C.load_container(blob)
+
+
+def test_separators_outside_the_root_are_rejected():
+    dictionary, encoded, grammar = build([("f0", "a b"), ("f1", "c d"), ("f2", "e")])
+    n, n_words = grammar.n_terminals, grammar.n_words
+    assert (n, n_words) == (8, 5)  # words 0..4, separators 5, 6 and 7
+    # the corpus's expansion, but the root holds one separator of three
+    inside = Grammar(n, n_words, [[0, 1, 9, 4, 7], [5, 2, 3, 6]])
+    assert expand(inside) == encoded.symbols
+    blob = C.write_container(dictionary, inside, encoded.file_table, False)
+    C.read_container(blob)  # the bytes themselves are well formed
+    with pytest.raises(C.ContainerError, match="separator code 5 in rule 9, outside"):
+        C.load_container(blob)
+    # one separator twice, another not at all: the same token count
+    twice = Grammar(n, n_words, [[0, 1, 5, 2, 3, 5, 4, 7]])
+    blob = C.write_container(dictionary, twice, encoded.file_table, False)
+    with pytest.raises(C.ContainerError, match="exactly once"):
+        C.load_container(blob)
+
+
+def test_load_container_is_read_then_load():
+    rng = random.Random(22)
+    for _ in range(10):
+        dictionary, encoded, grammar = build(random_corpus(rng))
+        blob = C.write_container(dictionary, grammar, encoded.file_table)
+        read_dict, read_grammar, read_header = C.read_container(blob)
+        loaded_dict, dag, loaded_header = C.load_container(blob)
+        assert (loaded_dict, loaded_header) == (read_dict, read_header)
+        assert dag == load_merge_graph(read_grammar)
+        assert dag.total_tokens == encoded.total_tokens
 
 
 def test_deflate_garbage():
@@ -332,7 +362,7 @@ def test_feature_mismatch_is_detected():
     ]
     blob = C.write_container(dictionary, grammar, table, False)
     with pytest.raises(C.FeatureMismatchError):
-        C.read_container(blob)
+        C.load_container(blob)
 
 
 def test_read_header_matches_full_read():

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_dag, random_corpus
 from tadoc.container import ContainerHeader
@@ -11,9 +12,8 @@ from tadoc.dag import (
     extract_features,
     load_merge_graph,
     node_frequencies,
-    total_tokens,
 )
-from tadoc.sequitur import Grammar, expand
+from tadoc.sequitur import Grammar, GrammarError, expand
 
 
 REF_FILES = [("f0", "a b c a b d a b c a b d a b a")]
@@ -53,24 +53,37 @@ def test_single_rule_loc_table():
 
 def test_segments_split_at_every_separator_wherever_it_sits():
     n_words, n = 2, 5  # separator codes 2, 3 and 4
-    roots = ([0, 2, 1, 3, 0, 4], [2, 3, 4], [0, 4, 1, 3, 0, 2], [0, 3, 3, 1, 2, 0, 4])
+    roots = ([0, 2, 1, 3, 0, 4], [2, 3, 4], [0, 4, 1, 3, 0, 2], [1, 3, 1, 2, 0, 4])
     for root in roots:
         dag = load_merge_graph(Grammar(n, n_words, [root]))
         ends = [i for i, sym in enumerate(root) if n_words <= sym < n]
         assert dag.segments == list(zip([0] + [end + 1 for end in ends], ends)), root
 
 
-def test_in_edges_match_brute_force_parent_scan():
+def test_each_separator_must_appear_once_in_the_root():
+    n_words, n = 2, 5  # separator codes 2, 3 and 4
+    for root in ([0, 3, 3, 1, 2, 0, 4], [0, 2, 1, 4], [2, 3, 4, 4], [0, 1]):
+        with pytest.raises(GrammarError, match="exactly once"):
+            load_merge_graph(Grammar(n, n_words, [root]))
+    # a long root is counted by Counter, a short one symbol by symbol
+    for copies in (1, 9):
+        root = [0, 1] * copies + [2, 3, 2, 4]
+        with pytest.raises(GrammarError, match="exactly once"):
+            load_merge_graph(Grammar(n, n_words, [root]))
+
+
+def test_separators_outside_the_root_are_rejected():
+    n_words, n = 2, 4  # separator codes 2 and 3
+    for body in ([2, 0, 1, 3], [0, 1] * 9 + [3]):
+        grammar = Grammar(n, n_words, [[0, n + 1, 1, 2, 3], body])
+        with pytest.raises(GrammarError, match="outside the root"):
+            load_merge_graph(grammar)
+
+
+def test_child_counts_match_brute_force_parent_scan():
     rng = random.Random(31)
     for _ in range(40):
         dictionary, encoded, dag = build_dag(random_corpus(rng))
-        recount: Counter = Counter()
-        for node in dag.nodes.values():
-            for sym in node.elements:
-                if dag.is_rule(sym):
-                    recount[sym] += 1
-        for rid, node in dag.nodes.items():
-            assert node.in_edges == recount.get(rid, 0)
         # merged view loses only order
         for node in dag.nodes.values():
             ordered = Counter(
@@ -144,7 +157,43 @@ def test_frequency_conservation():
             for rid, node in dag.nodes.items()
         )
         assert total == encoded.total_tokens
-        assert total_tokens(dag) == encoded.total_tokens
+        assert dag.total_tokens == encoded.total_tokens
+
+
+@st.composite
+def parents_first_grammars(draw):
+    """Small grammars that load: rules stored parents first, every rule but
+    the root referenced, each separator once in the root, the last at its end."""
+    n_words = draw(st.integers(1, 5))
+    n = n_words + draw(st.integers(0, 3))
+    n_rules = draw(st.integers(1, 6))
+    rules = []
+    for index in range(n_rules):
+        symbols = st.integers(0, n_words - 1)
+        if index + 1 < n_rules:
+            symbols |= st.integers(n + index + 1, n + n_rules - 1)
+        rules.append(draw(st.lists(symbols, max_size=4)))
+    for index in range(1, n_rules):
+        if not any(n + index in body for body in rules[:index]):
+            parent = rules[draw(st.integers(0, index - 1))]
+            parent.insert(draw(st.integers(0, len(parent))), n + index)
+    separators = draw(st.permutations(range(n_words, n)))
+    root = rules[0]
+    for code in separators[:-1]:
+        root.insert(draw(st.integers(0, len(root))), code)
+    root.extend(separators[-1:])
+    return Grammar(n, n_words, rules)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parents_first_grammars())
+def test_load_counts_the_words_of_the_expansion(grammar):
+    dag = load_merge_graph(grammar)
+    symbols = expand(grammar)
+    assert dag.total_tokens == sum(sym < grammar.n_words for sym in symbols)
+    separators = grammar.n_terminals - grammar.n_words
+    if separators:
+        assert dag.file_count == separators
 
 
 def test_extract_features_from_graph():
