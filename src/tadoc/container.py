@@ -11,10 +11,11 @@ few C-level calls. Words and file names are each one UTF-8 blob. See
 docs/format.md for a hex-annotated example.
 
 `read_container` checks what the bytes say: preamble, CRC32, layout,
-header, file table and blob counts. The grammar's structure (parents-first
-order, defined and reachable rules, separator placement, the token total)
-is checked once, by the DAG load, which visits every rule anyway;
-`load_container` runs the read and then that load.
+header, file table (token counts and separator codes) and blob counts.
+The grammar's structure (parents-first order, defined and reachable
+rules, separator placement, the token total) is checked once, by the DAG
+load, which visits every rule anyway; `load_container` runs the read and
+then that load.
 """
 
 from __future__ import annotations
@@ -272,6 +273,11 @@ def _parse_header(
             f"token count {total_tokens} != file table sum {sum(token_counts)}"
         )
     separators, pos = _read_plane(payload, pos, file_count)
+    if separators != list(range(word_count, word_count + file_count)):
+        raise ContainerError(
+            f"file table separator codes are not {word_count}, "
+            f"{word_count} + 1, ... in file order"
+        )
     names = _read_blob(payload, pos, names_size, _NAME_SEP, file_count, "file name")
     header = ContainerHeader(
         version=version,

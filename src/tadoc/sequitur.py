@@ -11,10 +11,27 @@ The inference maintains two invariants while scanning left to right:
 Rules are kept as circular doubly-linked lists over parallel arrays
 (``val``/``nxt``/``prv``) with recycled slots, so the live structure stays
 proportional to the compressed size rather than the stream length.
+
+Most matches on repetitive text are one sentence growing by a word per
+append: the root ends ``... A c``, the digram (A, c) occurred before, and
+rule A is used only at those two places. Plain Sequitur makes a rule
+R -> A c, puts R at both occurrences and then inlines A, now used once,
+into R. `infer_grammar` instead moves the later c to the end of A's body
+and drops the earlier one, which is the same grammar with R named A. It
+indexes what the long way would: the pairs either side of each use of A,
+then a check of (last symbol of A's old body, c), as the inline makes.
+The shortcut is taken only where every step it skips would index a fresh
+pair and do nothing else: c is not A; c is a word or a rule with other
+than two uses (with two, the long way would inline c as well); the
+earlier occurrence is not directly followed by the later; the later is at
+the root's end; and the symbols before the two occurrences differ. Rule
+ids never reach the output, whose rules are numbered by structure, so the
+renaming cannot show.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -60,51 +77,45 @@ class Grammar:
         return self.n_words <= symbol < self.n_terminals
 
 
-class _Builder:
-    """Mutable inference state; produces an immutable Grammar."""
+def _infer(symbols: list[int], n: int, sep_lo: int) -> Grammar:
+    """The grammar for `symbols`, every code already checked to be in [0, n).
 
-    def __init__(self, n_terminals: int, n_words: int):
-        self.n = n_terminals
-        self.sep_lo = n_words
-        self.sep_hi = n_terminals
-        self.val: list[int] = []  # symbol value; negative marks a rule guard
-        self.nxt: list[int] = []
-        self.prv: list[int] = []
-        self.free: list[int] = []
-        self.digram_at: dict[tuple[int, int], int] = {}
-        self.rules: dict[int, int] = {}  # rule id -> guard slot
-        self.use_sites: dict[int, set[int]] = {}
-        self.next_rule_id = n_terminals
-        self.root = self._new_rule()
+    A rule's guard slot holds ``-rid - 1``. The helpers are closures over
+    the slot arrays and indexes, which is cheaper than method calls on the
+    hot path. They call one another, so `check` is deleted on the way out:
+    that breaks the closures' reference cycle, and the arrays go when the
+    call returns, not at the next collection.
+    """
+    val: list[int] = []
+    nxt: list[int] = []
+    prv: list[int] = []
+    free: list[int] = []
+    digram_at: dict[tuple[int, int], int] = {}
+    guards: dict[int, int] = {}  # rule id -> guard slot
+    use_sites: dict[int, set[int]] = {}  # rule id -> slots that reference it
+    new_rule_id = itertools.count(n).__next__
 
-    # -- slot plumbing ------------------------------------------------------
-
-    def _new_slot(self, value: int) -> int:
-        if self.free:
-            slot = self.free.pop()
-            self.val[slot] = value
-        else:
-            slot = len(self.val)
-            self.val.append(value)
-            self.nxt.append(-1)
-            self.prv.append(-1)
-        return slot
-
-    def _new_rule(self) -> int:
-        rid = self.next_rule_id
-        self.next_rule_id += 1
-        guard = self._new_slot(-rid - 1)
-        self.nxt[guard] = guard
-        self.prv[guard] = guard
-        self.rules[rid] = guard
-        self.use_sites[rid] = set()
+    def new_rule() -> int:
+        rid = new_rule_id()
+        guard = new_slot(-rid - 1)
+        nxt[guard] = guard
+        prv[guard] = guard
+        guards[rid] = guard
+        use_sites[rid] = set()
         return rid
 
-    def _link(self, x: int, y: int) -> None:
-        self.nxt[x] = y
-        self.prv[y] = x
+    def new_slot(value: int) -> int:
+        if free:
+            slot = free.pop()
+            val[slot] = value
+        else:
+            slot = len(val)
+            val.append(value)
+            nxt.append(-1)
+            prv.append(-1)
+        return slot
 
-    def _unindex(self, x: int, dead: tuple[int, ...] = ()) -> None:
+    def unindex(x: int, dead: tuple[int, ...]) -> None:
         """Drop the digram starting at slot x if the index points there.
 
         ``dead`` holds the slots the caller is about to delete. A run like
@@ -113,155 +124,225 @@ class _Builder:
         entry is transferred to the twin instead of dropped, so the twin
         stays visible to future checks.
         """
-        y = self.nxt[x]
-        vx = self.val[x]
-        vy = self.val[y]
-        if vx < 0 or vy < 0:
-            return
-        if self.sep_lo <= vx < self.sep_hi or self.sep_lo <= vy < self.sep_hi:
+        y = nxt[x]
+        vx = val[x]
+        vy = val[y]
+        if vx < 0 or vy < 0 or sep_lo <= vx < n or sep_lo <= vy < n:
             return
         key = (vx, vy)
-        if self.digram_at.get(key) != x:
+        if digram_at.get(key) != x:
             return
         if vx == vy:
-            w = self.prv[x]
-            if self.val[w] == vx and w not in dead and x not in dead:
-                self.digram_at[key] = w
+            w = prv[x]
+            if val[w] == vx and w not in dead and x not in dead:
+                digram_at[key] = w
                 return
-            z = self.nxt[y]
-            if self.val[z] == vx and y not in dead and z not in dead:
-                self.digram_at[key] = y
+            z = nxt[y]
+            if val[z] == vx and y not in dead and z not in dead:
+                digram_at[key] = y
                 return
-        del self.digram_at[key]
+        del digram_at[key]
 
-    # -- the algorithm ------------------------------------------------------
-
-    def append(self, code: int) -> None:
-        guard = self.rules[self.root]
-        last = self.prv[guard]
-        slot = self._new_slot(code)
-        self._link(last, slot)
-        self._link(slot, guard)
-        self._check(last)
-
-    def _check(self, x: int) -> bool:
+    def check(x: int) -> bool:
         """Enforce digram uniqueness for the digram starting at slot x."""
-        y = self.nxt[x]
-        vx = self.val[x]
-        vy = self.val[y]
-        if vx < 0 or vy < 0:
+        y = nxt[x]
+        a = val[x]
+        b = val[y]
+        if a < 0 or b < 0 or sep_lo <= a < n or sep_lo <= b < n:
             return False
-        if self.sep_lo <= vx < self.sep_hi or self.sep_lo <= vy < self.sep_hi:
-            return False
-        key = (vx, vy)
-        m = self.digram_at.get(key)
+        key = (a, b)
+        m = digram_at.get(key)
         if m is None:
-            self.digram_at[key] = x
+            digram_at[key] = x
             return False
         if m == x:
             return False
-        if self.nxt[m] == x or self.nxt[x] == m:
+        m2 = nxt[m]
+        if m2 == x or y == m:
             return False  # overlapping occurrences share a symbol
-        self._match(x, m, key)
-        return True
-
-    def _match(self, x: int, m: int, key: tuple[int, int]) -> None:
-        a, b = key
-        before = self.prv[m]
-        after = self.nxt[self.nxt[m]]
-        root_guard = self.rules[self.root]
-        if (
-            self.val[before] < 0
-            and before == after
-            and before != root_guard
-        ):
+        pm = prv[m]
+        qm = nxt[m2]
+        if val[pm] < 0 and pm == qm and pm != root_guard:
             # m spans the entire body of an existing rule: reuse it.
-            rid = -self.val[before] - 1
-            self._substitute(x, rid)
+            substitute(x, -val[pm] - 1)
+        elif (
+            a >= n
+            and b != a
+            and len(use_sites[a]) == 2  # used at m and x only
+            and qm != x
+            # The three tests below never failed over tens of thousands of
+            # random streams, but no proof rules them out: without them,
+            # the skipped steps could do more than index fresh pairs.
+            and (b < n or len(use_sites[b]) != 2)
+            and nxt[y] == root_guard
+            and val[pm] != val[prv[x]]
+        ):
+            # Grow rule a by b in place (see the module docstring): y
+            # moves to the end of a's body, and the b after m goes.
+            px = prv[x]
+            guard = guards[a]
+            last = prv[guard]
+            unindex(m2, (m, m2))
+            del digram_at[key]
+            nxt[x] = root_guard
+            prv[root_guard] = x
+            nxt[last] = y
+            prv[y] = last
+            nxt[y] = guard
+            prv[guard] = y
+            nxt[m] = qm
+            prv[qm] = m
+            free.append(m2)
+            if b >= n:
+                use_sites[b].discard(m2)
+            v = val[pm]
+            if v >= 0 and not sep_lo <= v < n:
+                digram_at[(v, a)] = pm
+            v = val[px]
+            if v >= 0 and not sep_lo <= v < n:
+                digram_at[(v, a)] = px
+            v = val[qm]
+            if v >= 0 and not sep_lo <= v < n:
+                digram_at[(a, v)] = m
+            check(last)
+            return True
         else:
-            rid = self._new_rule()
-            guard = self.rules[rid]
-            s1 = self._new_slot(a)
-            s2 = self._new_slot(b)
-            self._link(guard, s1)
-            self._link(s1, s2)
-            self._link(s2, guard)
-            if a >= self.n:
-                self.use_sites[a].add(s1)
-            if b >= self.n:
-                self.use_sites[b].add(s2)
-            self.digram_at[key] = s1
-            self._substitute(m, rid)
-            self._substitute(x, rid)
+            rid = new_rule()
+            guard = guards[rid]
+            s1 = new_slot(a)
+            s2 = new_slot(b)
+            nxt[guard] = s1
+            prv[s1] = guard
+            nxt[s1] = s2
+            prv[s2] = s1
+            nxt[s2] = guard
+            prv[guard] = s2
+            if a >= n:
+                use_sites[a].add(s1)
+            if b >= n:
+                use_sites[b].add(s2)
+            digram_at[key] = s1
+            substitute(m, rid)
+            substitute(x, rid)
         # Reference counts of a and b each dropped; enforce rule utility.
         for v in (a, b) if a != b else (a,):
-            if v >= self.n:
-                sites = self.use_sites.get(v)
+            if v >= n:
+                sites = use_sites.get(v)
                 if sites is not None and len(sites) == 1:
-                    self._inline(v)
+                    inline(v)
+        return True
 
-    def _substitute(self, pos: int, rid: int) -> None:
+    def substitute(pos: int, rid: int) -> None:
         """Replace the digram starting at slot pos with a reference to rid."""
-        second = self.nxt[pos]
-        left = self.prv[pos]
-        right = self.nxt[second]
+        second = nxt[pos]
+        left = prv[pos]
+        right = nxt[second]
         dead = (pos, second)
-        self._unindex(left, dead)
-        self._unindex(pos, dead)
-        self._unindex(second, dead)
-        for slot in (pos, second):
-            v = self.val[slot]
-            if v >= self.n:
-                self.use_sites[v].discard(slot)
-            self.free.append(slot)
-        slot = self._new_slot(rid)
-        self._link(left, slot)
-        self._link(slot, right)
-        self.use_sites[rid].add(slot)
-        if not self._check(left):
-            self._check(slot)
+        unindex(left, dead)
+        unindex(pos, dead)
+        unindex(second, dead)
+        for slot in dead:
+            v = val[slot]
+            if v >= n:
+                use_sites[v].discard(slot)
+            free.append(slot)
+        slot = free.pop()  # second's slot, freed just above
+        val[slot] = rid
+        nxt[left] = slot
+        prv[slot] = left
+        nxt[slot] = right
+        prv[right] = slot
+        use_sites[rid].add(slot)
+        if not check(left):
+            check(slot)
 
-    def _inline(self, rid: int) -> None:
+    def inline(rid: int) -> None:
         """Splice the body of a once-referenced rule into its only use."""
-        (use,) = self.use_sites[rid]
-        guard = self.rules[rid]
-        first = self.nxt[guard]
-        last = self.prv[guard]
-        left = self.prv[use]
-        right = self.nxt[use]
-        self._unindex(left, (use,))
-        self._unindex(use, (use,))
-        del self.rules[rid]
-        del self.use_sites[rid]
-        self.free.append(use)
-        self.free.append(guard)
-        self._link(left, first)
-        self._link(last, right)
-        if not self._check(left):
-            self._check(last)
+        (use,) = use_sites.pop(rid)
+        guard = guards.pop(rid)
+        first = nxt[guard]
+        last = prv[guard]
+        left = prv[use]
+        right = nxt[use]
+        unindex(left, (use,))
+        unindex(use, (use,))
+        free.append(use)
+        free.append(guard)
+        nxt[left] = first
+        prv[first] = left
+        nxt[last] = right
+        prv[right] = last
+        if not check(left):
+            check(last)
 
-    def finalize(self) -> Grammar:
-        """The grammar, its live rules numbered parents first."""
-        n = self.n
-        bodies: dict[int, list[int]] = {}
+    root = new_rule()
+    root_guard = guards[root]
+    try:
+        # new_slot written out: the call cost about 7% of `repetitive` ingest
+        for code in symbols:
+            last = prv[root_guard]
+            if free:
+                slot = free.pop()
+                val[slot] = code
+            else:
+                slot = len(val)
+                val.append(code)
+                nxt.append(-1)
+                prv.append(-1)
+            nxt[last] = slot
+            prv[slot] = last
+            nxt[slot] = root_guard
+            prv[root_guard] = slot
+            check(last)
+    finally:
+        del check
+    return _finalize(root, n, sep_lo, val, nxt, guards, use_sites)
 
-        def walk(rid: int) -> list[int]:
-            guard = self.rules[rid]
-            body = bodies[rid] = []
-            slot = self.nxt[guard]
-            while slot != guard:
-                body.append(self.val[slot])
-                slot = self.nxt[slot]
-            return body
 
-        # a rule's use sites are the references to it in the live bodies
-        in_edges = {rid: len(sites) for rid, sites in self.use_sites.items()}
-        order = _parents_first_order(self.root, n, in_edges, walk)
-        number = {rid: n + i for i, rid in enumerate(order)}
-        rules = [bodies[rid] for rid in order]
-        for body in rules:
-            body[:] = [number[v] if v >= n else v for v in body]
-        return Grammar(n, self.sep_lo, rules)
+def _finalize(
+    root: int,
+    n: int,
+    n_words: int,
+    val: list[int],
+    nxt: list[int],
+    guards: dict[int, int],
+    use_sites: dict[int, set[int]],
+) -> Grammar:
+    """The builder's live rules as a Grammar, numbered parents first.
+
+    Each body is read from the slot arrays once; the rule references and
+    their positions are noted on the way, so the ordering and the
+    renumbering touch only those.
+    """
+    bodies: dict[int, list[int]] = {}
+    references: dict[int, list[int]] = {}
+
+    def walk(rid: int) -> list[int]:
+        guard = guards[rid]
+        body = bodies[rid] = []
+        children = []
+        positions = references[rid] = []
+        slot = nxt[guard]
+        while slot != guard:
+            v = val[slot]
+            if v >= n:
+                positions.append(len(body))
+                children.append(v)
+            body.append(v)
+            slot = nxt[slot]
+        return children
+
+    # a rule's use sites are the references to it in the live bodies
+    in_edges = {rid: len(sites) for rid, sites in use_sites.items()}
+    order = _parents_first_order(root, n, in_edges, walk)
+    number = {rid: n + i for i, rid in enumerate(order)}
+    rules = []
+    for rid in order:
+        body = bodies[rid]
+        for i in references[rid]:
+            body[i] = number[body[i]]
+        rules.append(body)
+    return Grammar(n, n_words, rules)
 
 
 def infer_grammar(
@@ -277,17 +358,14 @@ def infer_grammar(
         raise MalformedStreamError("terminal count must be >= 1")
     if n_words is None:
         n_words = n_terminals
-    builder = _Builder(n_terminals, n_words)
-    append = builder.append
+    if symbols and (min(symbols) < 0 or max(symbols) >= n_terminals):
+        code = next(code for code in symbols if not 0 <= code < n_terminals)
+        raise MalformedStreamError(f"code {code} out of range (N={n_terminals})")
     # Substitution cascades recurse; headroom is raised process-wide (never
     # restored: concurrent inferences on worker threads share the limit).
     if sys.getrecursionlimit() < 20000:
         sys.setrecursionlimit(20000)
-    for code in symbols:
-        if not 0 <= code < n_terminals:
-            raise MalformedStreamError(f"code {code} out of range (N={n_terminals})")
-        append(code)
-    return builder.finalize()
+    return _infer(symbols, n_terminals, n_words)
 
 
 def parents_first(grammar: Grammar) -> Grammar:
@@ -325,8 +403,9 @@ def _parents_first_order(
     references it.
 
     `in_edges` holds every rule's reference count and is used up. Bodies,
-    from `body`, are read in that order, once each, and a rule is placed
-    when the last reference to it has been read.
+    or just their rule references, from `body`, are read in that order,
+    once each, and a rule is placed when the last reference to it has been
+    read.
     """
     order = [root]
     if not in_edges[root]:

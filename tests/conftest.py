@@ -27,6 +27,32 @@ def random_stream(rng: random.Random, max_len=600, max_vocab=12):
     return stream, n
 
 
+def pooled_stream(rng: random.Random, max_files=5, max_sentences=30):
+    """(stream, n_terminals, n_words): files of sentences drawn mostly from
+    a small pool, with fresh sentences, word runs and back-to-back repeats
+    mixed in, each file closed by its own separator code."""
+    n_words = rng.randint(2, 16)
+    pool = [
+        [rng.randrange(n_words) for _ in range(rng.randint(2, 9))]
+        for _ in range(rng.randint(1, 10))
+    ]
+    files = rng.randint(1, max_files)
+    stream = []
+    for sep in range(n_words, n_words + files):
+        for _ in range(rng.randint(0, max_sentences)):
+            roll = rng.random()
+            if roll < 0.65:
+                stream += rng.choice(pool)
+            elif roll < 0.8:
+                stream += [rng.randrange(n_words) for _ in range(rng.randint(1, 6))]
+            elif roll < 0.9:
+                stream += [rng.randrange(n_words)] * rng.randint(2, 7)
+            else:
+                stream += rng.choice(pool) * rng.randint(2, 4)
+        stream.append(sep)
+    return stream, n_words + files, n_words
+
+
 def random_corpus(rng: random.Random, max_files=6, max_sentences=14, vocab=None):
     """(name, text) files mixing a repeated-sentence pool with fresh text."""
     words = vocab or WORDS

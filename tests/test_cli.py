@@ -123,7 +123,7 @@ def fault_container(rules=VALID_RULES, token_counts=None):
 def test_container_faults_exit_3(capsys, tmp_path):
     from conftest import reseal
     from tadoc.container import write_container
-    from tadoc.corpus import encode_corpus
+    from tadoc.corpus import FileEntry, encode_corpus
     from tadoc.sequitur import Grammar, infer_grammar
 
     dictionary, encoded = encode_corpus([("zz", "qq a b qq"), ("f1", "c d")])
@@ -141,6 +141,15 @@ def test_container_faults_exit_3(capsys, tmp_path):
         "word": (reseal(blob.replace(b"qq", b"\xff\xfe")), False),
         "root": (write_container(dictionary, moved, encoded.file_table, False), False),
         "feature-mismatch": (fault_container(token_counts=[5, 3, 2]), False),
+        "separators": (
+            write_container(
+                dictionary,
+                grammar,
+                [FileEntry(e.name, e.token_count, 0) for e in encoded.file_table],
+                False,
+            ),
+            True,
+        ),
     }
     for case, rules in FAULT_GRAMMARS.items():
         cases[case] = (fault_container(rules), False)

@@ -365,6 +365,21 @@ def test_feature_mismatch_is_detected():
         C.load_container(blob)
 
 
+def test_separator_codes_must_follow_the_words_in_file_order():
+    dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
+    codes = [e.separator_code for e in encoded.file_table]
+    assert codes == [dictionary.word_count, dictionary.word_count + 1]
+    for bad in ([0, 0], codes[::-1], [codes[0], codes[0]]):
+        table = [
+            FileEntry(e.name, e.token_count, code)
+            for e, code in zip(encoded.file_table, bad)
+        ]
+        blob = C.write_container(dictionary, grammar, table, False)
+        for reader in (C.read_header, C.read_container, C.load_container):
+            with pytest.raises(C.ContainerError, match="separator codes"):
+                reader(blob)
+
+
 def test_read_header_matches_full_read():
     rng = random.Random(8)
     dictionary, encoded, grammar = build(random_corpus(rng))

@@ -1,9 +1,11 @@
+import gc
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_corpus, random_stream
+from conftest import pooled_stream, random_corpus, random_stream
 from tadoc.corpus import MalformedStreamError, encode_corpus
 from tadoc.sequitur import (
     Grammar,
@@ -187,3 +189,60 @@ def test_parents_first_rejects_cycles_and_dangling_rules():
     for rules in ([[4], [0, 3]], [[4], [5, 0], [4, 1]], [[4, 9], [0, 1]], []):
         with pytest.raises(GrammarError):
             parents_first(Grammar(3, 3, rules))
+
+
+def _golden_cases(source: str, count: int = 500):
+    """(stream, n_terminals, n_words) for `count` seeded streams of one kind."""
+    rng = random.Random(source)
+    for _ in range(count):
+        if source == "random_stream":
+            stream, n = random_stream(rng)
+            yield stream, n, n
+        elif source == "random_corpus":
+            dictionary, encoded = encode_corpus(random_corpus(rng))
+            yield encoded.symbols, dictionary.n_total, dictionary.word_count
+        else:
+            yield pooled_stream(rng)
+
+
+# sha256 over repr(grammar.rules) of every case, in order, as computed by
+# the plain make-a-rule-then-inline builder: a change that alters any
+# inferred grammar, and so any container byte, fails here.
+GOLDEN_GRAMMARS = {
+    "random_stream": "37e74b4365ee3885cd69f9cfb7a55f88f98f3b61ecf3f7d9917c891c252165a8",
+    "random_corpus": "7fe464cb2041bd2fa84698c176180a03c70c369ff80cbcd7cbe6371b953dbb92",
+    "pooled_stream": "393b42ec8e58f2ec3a2b3716731d7be16f90f8f24d6928f11ec1938740851c67",
+}
+
+
+@pytest.mark.parametrize("source", sorted(GOLDEN_GRAMMARS))
+def test_golden_grammars(source):
+    digest = hashlib.sha256()
+    for stream, n, n_words in _golden_cases(source):
+        digest.update(repr(infer_grammar(stream, n, n_words).rules).encode())
+    assert digest.hexdigest() == GOLDEN_GRAMMARS[source]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_pooled_streams_round_trip_with_invariants(rng):
+    stream, n, n_words = pooled_stream(rng)
+    grammar = infer_grammar(stream, n, n_words)
+    assert expand(grammar) == stream
+    assert duplicate_digrams(grammar) == []
+    for rid, count in rule_reference_counts(grammar).items():
+        if rid != grammar.root_id:
+            assert count >= 2, rid
+    assert is_parents_first(grammar)
+
+
+def test_inference_leaves_no_reference_cycle():
+    stream, n, n_words = pooled_stream(random.Random(7), max_sentences=60)
+    gc.collect()
+    gc.disable()
+    try:
+        grammar = infer_grammar(stream, n, n_words)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert expand(grammar) == stream
