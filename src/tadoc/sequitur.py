@@ -170,7 +170,7 @@ def _infer(symbols: list[int], n: int, sep_lo: int) -> Grammar:
             and b != a
             and len(use_sites[a]) == 2  # used at m and x only
             and qm != x
-            # The three tests below never failed over tens of thousands of
+            # The three tests below never failed on thousands of seeded
             # random streams, but no proof rules them out: without them,
             # the skipped steps could do more than index fresh pairs.
             and (b < n or len(use_sites[b]) != 2)
