@@ -17,6 +17,7 @@ import statistics
 import sys
 import tempfile
 import time
+import zlib
 
 from . import __version__, oracle
 from .corpus import CorpusError, decode_stream, encode_corpus, tokenize
@@ -29,12 +30,13 @@ from .container import (
 )
 from .dag import extract_features
 from .kernels import INDEX_VARIANTS, TASKS, run_task
-from .scheduler import run_parallel, select_variant
+from .scheduler import select_variant
 from .sequitur import expand, infer_grammar
 
 # command-line names are the library's names with hyphens
 TASK_NAMES = {task.replace("_", "-"): task for task in TASKS}
 VARIANT_NAMES = {variant.replace("_", "-"): variant for variant in INDEX_VARIANTS}
+ENGINES = ("cd", "baseline", "gzip")
 
 
 def _log(message: str) -> None:
@@ -62,8 +64,7 @@ def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, 
         if file_list == "-":
             lines = sys.stdin.read().splitlines()
         else:
-            with open(file_list, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+            lines = _read_text(file_list).splitlines()
         for line in lines:
             path = line.strip()
             if not path:
@@ -93,12 +94,16 @@ def _check_names(names: list[str], error: type[Exception]) -> None:
         seen.add(path)
 
 
-def _read_text(path: str) -> str:
+def _decode(path: str, raw: bytes) -> str:
     try:
-        with open(path, "rb") as handle:
-            return handle.read().decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    with open(path, "rb") as handle:
+        return _decode(path, handle.read())
 
 
 def _read_files(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -109,9 +114,13 @@ def _read_gz_files(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
     files = []
     for name, path in pairs:
         with open(path, "rb") as handle:
-            raw = gzip_mod.decompress(handle.read())
+            data = handle.read()
+        try:
+            raw = gzip_mod.decompress(data)
+        except (EOFError, gzip_mod.BadGzipFile, zlib.error) as exc:
+            raise CorpusError(f"{path} is not a whole gzip file: {exc}") from exc
         display = name[:-3] if name.endswith(".gz") else name
-        files.append((display, raw.decode("utf-8")))
+        files.append((display, _decode(path, raw)))
     return files
 
 
@@ -308,20 +317,7 @@ def _analyze(args) -> int:
     dictionary, dag, header = load_container(data)
     names = [entry.name for entry in header.file_table]
     variant = _resolve_variant(args.variant, header)
-    if args.workers > 1:
-        streams: list[list[int]] = []
-        current: list[int] = []
-        for sym in expand(dag.grammar()):
-            if dictionary.is_separator(sym):
-                streams.append(current)
-                current = []
-            else:
-                current.append(sym)
-        result = run_parallel(
-            dictionary, streams, task, args.workers, l=args.l, top_k=args.top_k
-        )
-    else:
-        result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
+    result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0
 
@@ -406,10 +402,6 @@ def _prepare_container(pairs, container_path):
 
 def cmd_bench(args) -> int:
     task = TASK_NAMES[args.task]
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    for engine in engines:
-        if engine not in ("cd", "baseline", "gzip"):
-            raise CorpusError(f"unknown engine {engine!r}")
     pairs = _collect_paths([args.corpus], None)
     raw_size = sum(os.path.getsize(path) for _, path in pairs)
 
@@ -432,7 +424,7 @@ def cmd_bench(args) -> int:
 
     # repeat r of every engine runs before repeat r + 1, so drift of the
     # host's speed spreads over all engines
-    engine_runs: dict[str, list[dict]] = {engine: [] for engine in engines}
+    engine_runs: dict[str, list[dict]] = {engine: [] for engine in args.engines}
     for _ in range(args.repeat):
         for engine, runs in engine_runs.items():
             if engine == "cd":
@@ -482,7 +474,7 @@ def cmd_bench(args) -> int:
     }
     if "baseline" in results:
         speedups = {}
-        for engine in engines:
+        for engine in args.engines:
             if engine == "baseline":
                 continue
             speedups[engine] = {
@@ -497,7 +489,7 @@ def cmd_bench(args) -> int:
         print(json.dumps(report, ensure_ascii=False))
     else:
         print("engine\tio_s\tinit_s\tcompute_s\ttotal_s")
-        for engine in engines:
+        for engine in args.engines:
             r = results[engine]
             print(
                 f"{engine}\t{r['io']:.4f}\t{r['init']:.4f}"
@@ -535,6 +527,15 @@ def _at_least_one(value: str) -> int:
     return number
 
 
+def _engine_list(value: str) -> list[str]:
+    engines = [engine.strip() for engine in value.split(",")]
+    if not set(engines) <= set(ENGINES) or len(set(engines)) < len(engines):
+        raise argparse.ArgumentTypeError(
+            f"must be distinct names from {','.join(ENGINES)}, got {value!r}"
+        )
+    return engines
+
+
 def _top_k(value: str) -> int:
     top_k = int(value)
     if top_k < 0:
@@ -569,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="container (engine cd) or raw inputs")
     p.add_argument("task", choices=sorted(TASK_NAMES))
     p.add_argument(
-        "--engine", choices=("cd", "baseline", "gzip"), default="cd",
+        "--engine", choices=ENGINES, default="cd",
         help="cd runs on the container; baseline/gzip run on raw/.gz text",
     )
     p.add_argument(
@@ -577,8 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=_at_least_one, default=os.environ.get("TADOC_WORKERS", "1"),
-        help="worker threads (default: $TADOC_WORKERS, else 1); --variant "
-        "applies on one worker",
+        help="accepted for compatibility (default: $TADOC_WORKERS, else 1); "
+        "every job runs on the loaded grammar whatever its value",
     )
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
@@ -594,7 +595,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time engines on a corpus directory")
     p.add_argument("corpus", help="directory of text files")
     p.add_argument("task", choices=sorted(TASK_NAMES))
-    p.add_argument("--engines", default="cd,baseline,gzip")
+    p.add_argument(
+        "--engines", type=_engine_list, default=",".join(ENGINES),
+        help="comma-separated engines to time, each at most once",
+    )
     p.add_argument("--repeat", type=_at_least_one, default=3)
     p.add_argument("--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)])
     p.add_argument("--top-k", type=_top_k, default=None)

@@ -23,9 +23,10 @@ with "_", from the first window on: a `str` caches its hash, and grams that
 join alike (words may contain "_") are summed where they are counted, as
 the oracle sums them.
 
-`file_tables` gives the per-file tables a task needs and `finish` turns
-them into its result; the per-file kernels and `run_parallel`, whose
-workers return `file_tables`, share both. The CLI and `tadoc bench` share
+`finish` turns the per-file tables (word-code counts, or window counts by
+gram name for the order-sensitive tasks) into a task's result; the per-file
+kernels and `run_parallel`, which counts plain code streams with the same
+run counters as short files, share it. The CLI and `tadoc bench` share
 `run_task` (task to kernel).
 """
 
@@ -206,15 +207,6 @@ def _inverted_preorder(dag: Dag, kind: str) -> dict[int, set[int]]:
 # -- per-file tables -----------------------------------------------------------
 
 
-def file_tables(task: str, dag: Dag, words: list[str], l: int = 3) -> list[Counter]:
-    """Per file: l-word window counts keyed by gram name for the
-    order-sensitive tasks, word-code counts for the others; `finish` turns
-    them into the task's result. `words` names the word codes."""
-    if task in ORDER_SENSITIVE:
-        return _gram_tables(dag, words, l)
-    return _per_file_code_counts(dag)
-
-
 def _by_path(
     dag: Dag,
     count_runs: Callable[[Iterable[Iterator[int]]], list[Counter]],
@@ -357,9 +349,9 @@ def _push_code_counts(dag: Dag, segments: list[tuple[int, int]]) -> list[Counter
 def finish(
     task: str, tables: list[Counter], dictionary: Dictionary, top_k: int | None = None
 ):
-    """The result of `task` from the per-file tables of `file_tables`:
-    keyed by gram name for the order-sensitive tasks, whose same-name grams
-    are already summed, and by word code for the others.
+    """The result of `task` from its per-file tables: keyed by gram name
+    for the order-sensitive tasks, whose same-name grams are already
+    summed, and by word code for the others.
 
     top_k keeps each file's first top_k terms of a term vector; None keeps
     them all.
@@ -541,7 +533,7 @@ def ranked_inverted_index(
 
 def rank_gram_files(tables: list[Counter]) -> dict[str, list[tuple[int, int]]]:
     """Per gram: (file, count) by count descending, ties by file, from the
-    name-keyed tables of `file_tables`, where same-name grams are summed."""
+    name-keyed tables of `_gram_tables`, where same-name grams are summed."""
     by_gram: dict[str, list[tuple[int, int]]] = {}
     for file_id, table in enumerate(tables):
         for gram, count in table.items():

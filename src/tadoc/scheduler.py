@@ -1,4 +1,4 @@
-"""Traversal-variant selection and coarse-grained parallel execution.
+"""Traversal-variant selection and coarse-grained partitioning.
 
 `select_variant` applies the published thresholds: small average file size
 favors postorder; otherwise preorder, with the two-level bitmap once the
@@ -7,15 +7,17 @@ corpus has many files.
 Partitioning packs whole files largest-first onto workers; a file is split
 into equal token-range sections, never more than it has tokens, only when
 it exceeds h_split = S/(2*n_w) and keeping it whole would leave some
-partition above 1.25x the average worker load. Each worker compresses its
-partition against the shared dictionary and returns one table per unit (a
-whole file or one section) from `kernels.file_tables`: word-code counts,
-or l-gram counts by gram name for the order-sensitive tasks. A section's
-codes run l-1 tokens past its end, so each window is counted by the one
-section it starts in and a file's table is the sum of its sections' tables.
-`run_parallel` sums the tables per file and finishes the task from them
-with `kernels.finish`, as the one-worker kernels do, so results are
-invariant in the worker count.
+partition above 1.25x the average worker load.
+
+No CLI path calls `run_parallel`: every `analyze` job runs on the loaded
+grammar. It stays because the benchmark's traced probe calls it. It counts
+each unit (a whole file or one section) of plain code streams with the
+kernels' run counters: word-code counts, or l-gram counts by gram name for
+the order-sensitive tasks. A section's codes run l-1 tokens past its end, so
+each window is counted by the one section it starts in and a file's table is
+the sum of its sections' tables. The tables per file are finished with
+`kernels.finish`, as the one-worker kernels do, so results are invariant in
+the worker count.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import kernels
 from .corpus import Dictionary
-from .dag import DatasetFeatures, load_merge_graph
+from .dag import DatasetFeatures
 from .kernels import ORDER_SENSITIVE, TASKS
-from .sequitur import infer_grammar
 
 
 def select_variant(features: DatasetFeatures) -> str:
@@ -134,23 +136,6 @@ def plan_partitions(sizes: list[int], n_workers: int) -> PartitionPlan:
 # -- parallel execution ----------------------------------------------------------
 
 
-def _worker(dictionary, units, task, l):
-    """Compress and analyze one partition; returns one table per unit.
-
-    units: the token codes of each unit (a whole file or one section). The
-    partition gets its own grammar over the shared word codes, with one
-    fresh separator per unit.
-    """
-    word_count = dictionary.word_count
-    n_terminals = word_count + len(units)
-    symbols = []
-    for index, codes in enumerate(units):
-        symbols.extend(codes)
-        symbols.append(word_count + index)
-    grammar = infer_grammar(symbols, n_terminals, word_count)
-    return kernels.file_tables(task, load_merge_graph(grammar), dictionary.words, l)
-
-
 def run_parallel(
     dictionary: Dictionary,
     file_codes: list[list[int]],
@@ -159,15 +144,22 @@ def run_parallel(
     l: int = 3,
     top_k: int | None = None,
 ):
-    """Partition, compress and analyze per worker, then merge.
+    """Partition, count each partition's units on a worker, then merge.
 
     file_codes holds each file's word-code stream (no separators). The
     merged result is identical for any worker count.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    # a section's l-gram windows run up to l-1 tokens past its end
-    overlap = l - 1 if task in ORDER_SENSITIVE else 0
+    if task in ORDER_SENSITIVE:
+        if l < 2:
+            raise ValueError(f"sequence length must be >= 2, got {l}")
+        count_runs = partial(kernels._count_gram_runs, dictionary.words, l)
+        # a section's l-gram windows run up to l-1 tokens past its end
+        overlap = l - 1
+    else:
+        count_runs = kernels._count_code_runs
+        overlap = 0
     plan = plan_partitions([len(codes) for codes in file_codes], n_workers)
     partitions = [
         sorted(partition, key=lambda s: (s.file_id, s.seq))
@@ -176,14 +168,15 @@ def run_parallel(
     ]
 
     def work(sections):
-        units = [file_codes[s.file_id][s.start : s.end + overlap] for s in sections]
-        return _worker(dictionary, units, task, l)
+        return count_runs(
+            file_codes[s.file_id][s.start : s.end + overlap] for s in sections
+        )
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         partials = list(pool.map(work, partitions))
 
     tables: list[Counter] = [Counter() for _ in file_codes]
-    for sections, partial in zip(partitions, partials):
-        for section, table in zip(sections, partial):
+    for sections, counted in zip(partitions, partials):
+        for section, table in zip(sections, counted):
             tables[section.file_id].update(table)
     return kernels.finish(task, tables, dictionary, top_k)

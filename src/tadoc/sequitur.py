@@ -361,8 +361,8 @@ def infer_grammar(
     if symbols and (min(symbols) < 0 or max(symbols) >= n_terminals):
         code = next(code for code in symbols if not 0 <= code < n_terminals)
         raise MalformedStreamError(f"code {code} out of range (N={n_terminals})")
-    # Substitution cascades recurse; headroom is raised process-wide (never
-    # restored: concurrent inferences on worker threads share the limit).
+    # Substitution cascades recurse; headroom is raised process-wide and
+    # never restored.
     if sys.getrecursionlimit() < 20000:
         sys.setrecursionlimit(20000)
     return _infer(symbols, n_terminals, n_words)

@@ -297,6 +297,25 @@ def test_workers_flag_and_env_invariance(capsys, corpus_dir, tmp_path, monkeypat
     assert via_env == sequential
 
 
+def test_workers_run_every_task_without_recompressing(
+    capsys, corpus_dir, tmp_path, monkeypatch
+):
+    out_path = tmp_path / "c.tdoc"
+    assert main(["compress", str(corpus_dir), "--out", str(out_path)]) == 0
+
+    def no_inference(*args):
+        raise AssertionError("analyze inferred a grammar")
+
+    monkeypatch.setattr("tadoc.sequitur._infer", no_inference)
+    capsys.readouterr()
+    for task in TASK_NAMES:
+        code, one, _ = run(capsys, ["analyze", str(out_path), task, "--workers", "1"])
+        assert code == 0
+        code, two, _ = run(capsys, ["analyze", str(out_path), task, "--workers", "2"])
+        assert code == 0
+        assert two == one, task
+
+
 def test_worker_count_below_one_is_usage_error(capsys, ref_container, monkeypatch):
     for flag in ("0", "-1"):
         with pytest.raises(SystemExit) as excinfo:
@@ -326,6 +345,17 @@ def test_negative_top_k_is_usage_error(capsys, corpus_dir, tmp_path):
     assert "top-k must be >= 0" in capsys.readouterr().err
 
 
+def test_bad_bench_engines_are_usage_errors(capsys, corpus_dir, tmp_path):
+    for engines in ("foo", "", "cd,,cd", "cd,cd", "cd,baseline,foo"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "bench", str(corpus_dir), "word-count", "--engines", engines,
+                "--repeat", "1", "--workdir", str(tmp_path / "bench"),
+            ])
+        assert excinfo.value.code == 2, engines
+    assert "must be distinct names from cd,baseline,gzip" in capsys.readouterr().err
+
+
 def test_variant_override_and_log(capsys, ref_container):
     code, out, err = run(
         capsys, ["analyze", str(ref_container), "word-count", "--variant", "preorder-bitmap"]
@@ -341,6 +371,24 @@ def test_gzip_engine(capsys, corpus_dir, tmp_path):
     code, out, _ = run(capsys, ["analyze", str(gz), "word-count", "--engine", "gzip"])
     assert code == 0
     assert out.splitlines() == ["a\t6", "b\t5", "c\t2", "d\t2"]
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        gzip.compress(REF_TEXT.encode())[:-6],  # truncated
+        gzip.compress(b"caf\xe9 au lait\n"),  # Latin-1, not UTF-8
+        b"\x1f\x8b\x08\x00" + bytes(6) + b"not deflate",  # corrupt body
+    ],
+    ids=["truncated", "not-utf8", "corrupt"],
+)
+def test_malformed_gzip_input_is_corpus_error(capsys, tmp_path, blob):
+    gz = tmp_path / "f0.txt.gz"
+    gz.write_bytes(blob)
+    code, out, err = run(capsys, ["analyze", str(gz), "word-count", "--engine", "gzip"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and str(gz) in err
 
 
 def test_baseline_engine_matches_cd(capsys, corpus_dir, tmp_path):
@@ -437,6 +485,16 @@ def test_file_list_manifest(capsys, corpus_dir, tmp_path):
     capsys.readouterr()
     code, out, _ = run(capsys, ["analyze", str(out_path), "word-count"])
     assert out.splitlines() == ["a\t6", "b\t5", "c\t2", "d\t2"]
+
+
+def test_non_utf8_manifest_is_corpus_error(capsys, corpus_dir, tmp_path):
+    manifest = tmp_path / "list.txt"
+    manifest.write_bytes(str(corpus_dir / "f0.txt").encode() + b"\n\xff\n")
+    out_path = tmp_path / "c.tdoc"
+    code, _, err = run(capsys, ["compress", "--file-list", str(manifest), "--out", str(out_path)])
+    assert code == 4
+    assert "not valid UTF-8" in err
+    assert not out_path.exists()
 
 
 def test_bench_smoke(capsys, corpus_dir, tmp_path):

@@ -152,6 +152,22 @@ def test_results_invariant_under_worker_count():
                 assert merged == reference, (top_k, workers)
 
 
+def test_run_parallel_never_infers_a_grammar(monkeypatch):
+    def no_inference(*args):
+        raise AssertionError("run_parallel inferred a grammar")
+
+    rng = random.Random(59)
+    files = random_corpus(rng)
+    files.append(("big", " ".join(rng.choices(["u", "v", "w"], k=400))))
+    references = {task: run_task_sequential(files, task) for task in TASKS}
+    dictionary, streams = _file_streams(files)
+    monkeypatch.setattr("tadoc.sequitur._infer", no_inference)
+    for workers in (1, 2, 3):
+        for task in TASKS:
+            merged = run_parallel(dictionary, streams, task, workers)
+            assert merged == references[task], (task, workers)
+
+
 def test_split_file_sequence_count_matches_oracle():
     rng = random.Random(47)
     # one dominating file forces a split under several worker counts

@@ -175,9 +175,8 @@ def test_window_tables_are_keyed_by_gram_name():
     files = [("f0", "a_b c x a b_c x"), ("f1", "a b_c x")]
     dictionary, _, dag = build_dag(files)
     expected = [{"a_b_c_x": 2, "c_x_a": 1, "x_a_b_c": 1}, {"a_b_c_x": 1}]
-    for task in kernels.ORDER_SENSITIVE:
-        tables = kernels.file_tables(task, dag, dictionary.words, 3)
-        assert [dict(table) for table in tables] == expected, task
+    tables = kernels._gram_tables(dag, dictionary.words, 3)
+    assert [dict(table) for table in tables] == expected
 
 
 def test_doubling_grammar_is_counted_without_expansion():
