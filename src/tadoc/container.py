@@ -190,6 +190,14 @@ def write_container(
         raise ContainerError("dictionary and grammar disagree on terminal count")
     if dictionary.separator_count != len(file_table):
         raise ContainerError("file table does not match separator count")
+    word_count = dictionary.word_count
+    if [e.separator_code for e in file_table] != list(
+        range(word_count, dictionary.n_total)
+    ):
+        raise ContainerError(
+            f"file table separator codes are not {word_count}, "
+            f"{word_count} + 1, ... in file order"
+        )
     payload = build_payload(dictionary, grammar, file_table)
     flags = FLAG_DEFLATE if deflate else 0
     if deflate:

@@ -156,14 +156,18 @@ def decode_stream(
     words = dictionary.words
     out: list[tuple[int, list[str]]] = []
     current: list[str] = []
+    # `words[code]` would read a negative code from the end; testing for a
+    # word first keeps a word at two comparisons with that check
     for code in symbols:
-        if code >= n_total:
-            raise MalformedStreamError(f"code {code} out of range (N={n_total})")
-        if code >= word_count:
+        if code < word_count:
+            if code < 0:
+                raise MalformedStreamError(f"code {code} is negative")
+            current.append(words[code])
+        elif code < n_total:
             out.append((len(out), current))
             current = []
         else:
-            current.append(words[code])
+            raise MalformedStreamError(f"code {code} out of range (N={n_total})")
     if current:
         out.append((len(out), current))
     return out

@@ -9,8 +9,9 @@ comes, and the per-file push-down below orders its heap by rule id.
 Per-file tasks choose a path per file (`_by_path`), reading only the
 grammar. A short file, whose root segment has at most 256 elements that
 each expand to at most 256 words, is counted over its expanded run with one
-C-level `Counter` call; rule expansions are memoized as word-code tuples,
-children first, and built only when some segment is that short. Files of
+C-level `Counter` call. Its rule expansions come from `sequitur.expansions`,
+the memo that `sequitur.expand` restores the text with, built only when
+some segment is that short. Files of
 40-120 tokens rarely repeat a rule inside themselves, so the grammar saves
 them nothing. Every other file takes the push-down (`_push_down`): its
 table is what its root segment holds directly plus each reached rule's own
@@ -43,6 +44,7 @@ from operator import itemgetter
 from .bitmap import make_file_set
 from .corpus import Dictionary
 from .dag import Dag, node_frequencies
+from .sequitur import EXPANSION_CAP, expansions
 
 TASKS = (
     "word_count",
@@ -224,17 +226,16 @@ def _by_path(
 
 
 # A file is short when its root segment has at most _SHORT_SEGMENT elements
-# and none of them expands to more than _SHORT_RULE_WORDS words; both limits
-# are set by measurement (CHANGES.md).
+# and each of them has a memoized expansion (at most EXPANSION_CAP words);
+# both limits are set by measurement (CHANGES.md).
 _SHORT_SEGMENT = 256
-_SHORT_RULE_WORDS = 256
 
 
 def _short_runs(dag: Dag) -> dict[int, Iterator[int]]:
     """By file id, the word codes of each short file, as a one-pass iterator.
 
-    The expansions of rules of at most _SHORT_RULE_WORDS words are built
-    only when some segment is short enough; no longer rule is expanded.
+    Rule expansions (`sequitur.expansions`) are built only when some
+    segment is short enough; no rule over the cap is expanded.
     """
     short = [
         (file_id, start, end)
@@ -243,32 +244,16 @@ def _short_runs(dag: Dag) -> dict[int, Iterator[int]]:
     ]
     if not short:
         return {}
-    expansions = _expansions(dag, _SHORT_RULE_WORDS)
-    too_long = {
-        rid for rid in dag.nodes if expansions[rid] is None and rid != dag.root_id
-    }
-    root = dag.nodes[dag.root_id].elements
+    rules = dag.grammar().rules
+    memo = expansions(rules, dag.n_terminals, EXPANSION_CAP)
+    too_long = {rid for rid in dag.nodes if memo[rid] is None and rid != dag.root_id}
+    root = rules[0]
     runs = {}
     for file_id, start, end in short:
         segment = root[start:end]
         if not too_long or too_long.isdisjoint(segment):
-            runs[file_id] = chain.from_iterable(map(expansions.__getitem__, segment))
+            runs[file_id] = chain.from_iterable(map(memo.__getitem__, segment))
     return runs
-
-
-def _expansions(dag: Dag, cap: int) -> list[tuple[int, ...] | None]:
-    """By symbol: the word codes it expands to, or None for a separator, the
-    root and every rule of more than `cap` words. One pass, children first;
-    a rule over the cap is never expanded."""
-    nodes = dag.nodes
-    expansions: list = [(code,) for code in range(dag.n_words)]
-    expansions += [None] * (dag.n_terminals - dag.n_words + len(nodes))
-    for rid in reversed(dag.topo):
-        if rid != dag.root_id:
-            parts = list(map(expansions.__getitem__, nodes[rid].elements))
-            if None not in parts and sum(map(len, parts)) <= cap:
-                expansions[rid] = tuple(chain.from_iterable(parts))
-    return expansions
 
 
 def _push_down(

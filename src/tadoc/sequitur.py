@@ -31,10 +31,10 @@ renaming cannot show.
 
 from __future__ import annotations
 
-import itertools
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain, count
 
 from .corpus import MalformedStreamError
 
@@ -93,7 +93,7 @@ def _infer(symbols: list[int], n: int, sep_lo: int) -> Grammar:
     digram_at: dict[tuple[int, int], int] = {}
     guards: dict[int, int] = {}  # rule id -> guard slot
     use_sites: dict[int, set[int]] = {}  # rule id -> slots that reference it
-    new_rule_id = itertools.count(n).__next__
+    new_rule_id = count(n).__next__
 
     def new_rule() -> int:
         rid = new_rule_id()
@@ -421,30 +421,97 @@ def _parents_first_order(
     return order
 
 
+# Rules of at most this many words have a memoized expansion: `expand` adds
+# them to its output whole, and short files are counted over them
+# (`kernels._short_runs`). Set by measurement (CHANGES.md).
+EXPANSION_CAP = 256
+
+
+def expansions(
+    rules: list[list[int]], n_terminals: int, cap: int
+) -> list[tuple[int, ...] | None]:
+    """By symbol: the codes it expands to, or None where there is no entry.
+
+    Every terminal, separators included, is a 1-tuple. A rule other than
+    the root gets the tuple of its expansion when that has at most `cap`
+    words. Rules are built from the last to the first, so with parents
+    first (see `parents_first`) a rule's children are built before it. The
+    root, a body longer than `cap` (not read), a rule over the cap and a
+    rule whose body holds a negative or undefined symbol or a rule not yet
+    built (not parents first, or cyclic) get None.
+    """
+    n = n_terminals
+    memo: list = list(zip(range(n)))
+    memo += [None] * len(rules)
+    get = memo.__getitem__
+    for rid, body in zip(range(n + len(rules) - 1, n, -1), reversed(rules)):
+        if len(body) > cap:
+            continue
+        # IndexError: an undefined id; TypeError: a symbol without an entry
+        try:
+            if len(body) == 2:  # most rules: one tuple concatenation
+                a, b = body
+                if a < 0 or b < 0:
+                    continue
+                words = get(a) + get(b)
+            elif body and min(body) < 0:
+                continue
+            else:
+                words = tuple(chain.from_iterable(map(get, body)))
+        except (IndexError, TypeError):
+            continue
+        if len(words) <= cap:
+            memo[rid] = words
+    return memo
+
+
 def expand(grammar: Grammar) -> list[int]:
-    """Depth-first left-to-right substitution of rule ids, root first."""
+    """The code stream the grammar derives: rule ids substituted depth-first,
+    left to right, from the root.
+
+    Rule expansions come from `expansions`. A body whose every symbol has
+    an entry, which on text is usually the root, is added in one C-level
+    extend; any other body is walked, its symbols with an entry added
+    whole and the others descended into. Raises GrammarError for a
+    negative or undefined symbol and for a cycle.
+    """
     n = grammar.n_terminals
     rules = grammar.rules
-    out: list[int] = []
     if not rules:
         raise GrammarError("grammar has no rules")
-    stack: list[tuple[list[int], int]] = [(rules[0], 0)]
+    memo = expansions(rules, n, EXPANSION_CAP)
+    get = memo.__getitem__
+    end = len(memo)
+    out: list[int] = []
+    # the bodies being walked, outermost first, as iterators over the rest
+    stack: list[Iterator[int]] = []
+
+    def enter(body: list[int]) -> None:
+        """Add `body`'s expansion whole, or push it to be walked; which is
+        decided before anything is added."""
+        try:
+            parts = list(map(get, body)) if min(body, default=0) >= 0 else [None]
+        except IndexError:  # an undefined id, which the walk reports
+            parts = [None]
+        if all(parts):
+            out.extend(chain.from_iterable(parts))
+        elif len(stack) == len(rules):
+            raise GrammarError("rule reference cycle")
+        else:
+            stack.append(iter(body))
+
+    enter(rules[0])
     while stack:
-        body, i = stack[-1]
-        while i < len(body):
-            sym = body[i]
-            if sym < n:
-                out.append(sym)
-                i += 1
-            else:
-                index = sym - n
-                if index >= len(rules):
-                    raise GrammarError(f"dangling rule id {sym}")
-                if len(stack) > len(rules):
-                    raise GrammarError("rule reference cycle")
-                stack[-1] = (body, i + 1)
-                stack.append((rules[index], 0))
+        for sym in stack[-1]:
+            if sym < 0:
+                raise GrammarError(f"negative symbol {sym}")
+            if sym >= end:
+                raise GrammarError(f"dangling rule id {sym}")
+            words = memo[sym]
+            if words is None:
+                enter(rules[sym - n])
                 break
+            out.extend(words)
         else:
             stack.pop()
     return out

@@ -123,7 +123,7 @@ def fault_container(rules=VALID_RULES, token_counts=None):
 def test_container_faults_exit_3(capsys, tmp_path):
     from conftest import reseal
     from tadoc.container import write_container
-    from tadoc.corpus import FileEntry, encode_corpus
+    from tadoc.corpus import encode_corpus
     from tadoc.sequitur import Grammar, infer_grammar
 
     dictionary, encoded = encode_corpus([("zz", "qq a b qq"), ("f1", "c d")])
@@ -135,21 +135,16 @@ def test_container_faults_exit_3(capsys, tmp_path):
     # file f1's token count, in the low-byte plane after the 32-byte header
     tokens = bytearray(blob)
     tokens[16 + 32 + 1] += 1
+    # both separator codes set to 0, in the low-byte plane after the token counts
+    separators = bytearray(blob)
+    separators[16 + 32 + 8 : 16 + 32 + 10] = bytes(2)
     cases = {
         "name": (reseal(blob.replace(b"zz", b"\xff\xfe")), True),
         "tokens": (reseal(bytes(tokens)), True),
         "word": (reseal(blob.replace(b"qq", b"\xff\xfe")), False),
         "root": (write_container(dictionary, moved, encoded.file_table, False), False),
         "feature-mismatch": (fault_container(token_counts=[5, 3, 2]), False),
-        "separators": (
-            write_container(
-                dictionary,
-                grammar,
-                [FileEntry(e.name, e.token_count, 0) for e in encoded.file_table],
-                False,
-            ),
-            True,
-        ),
+        "separators": (reseal(bytes(separators)), True),
     }
     for case, rules in FAULT_GRAMMARS.items():
         cases[case] = (fault_container(rules), False)

@@ -365,19 +365,40 @@ def test_feature_mismatch_is_detected():
         C.load_container(blob)
 
 
+def with_separator_codes(blob: bytes, codes: list[int]) -> bytes:
+    """An undeflated container with the separator-code plane of its file
+    table replaced by `codes`, resealed."""
+    count = len(codes)
+    start = C.PREAMBLE_SIZE + C._HEADER.size + 4 * count  # after the token counts
+    patched = bytearray(blob)
+    patched[start : start + 4 * count] = C._plane(codes)
+    return reseal(bytes(patched))
+
+
 def test_separator_codes_must_follow_the_words_in_file_order():
     dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
     codes = [e.separator_code for e in encoded.file_table]
     assert codes == [dictionary.word_count, dictionary.word_count + 1]
+    blob = C.write_container(dictionary, grammar, encoded.file_table, False)
+    assert with_separator_codes(blob, codes) == blob
     for bad in ([0, 0], codes[::-1], [codes[0], codes[0]]):
+        patched = with_separator_codes(blob, bad)
+        for reader in (C.read_header, C.read_container, C.load_container):
+            with pytest.raises(C.ContainerError, match="separator codes"):
+                reader(patched)
+
+
+def test_writer_rejects_separator_codes_out_of_file_order():
+    dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
+    codes = [e.separator_code for e in encoded.file_table]
+    for bad in ([0, 0], codes[::-1], [codes[0], codes[0]], [codes[0], codes[1] + 1]):
         table = [
             FileEntry(e.name, e.token_count, code)
             for e, code in zip(encoded.file_table, bad)
         ]
-        blob = C.write_container(dictionary, grammar, table, False)
-        for reader in (C.read_header, C.read_container, C.load_container):
+        for deflate in (True, False):
             with pytest.raises(C.ContainerError, match="separator codes"):
-                reader(blob)
+                C.write_container(dictionary, grammar, table, deflate)
 
 
 def test_read_header_matches_full_read():

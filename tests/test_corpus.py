@@ -77,6 +77,13 @@ def test_decode_out_of_range_code():
         decode_stream([0, 99], dictionary)
 
 
+def test_decode_negative_code():
+    # a negative code would otherwise read a word from the end of the list
+    dictionary = Dictionary(["a", "b", "c"], separator_count=1)
+    with pytest.raises(MalformedStreamError, match="negative"):
+        decode_stream([-1, 0, 3], dictionary)
+
+
 def test_round_trip_and_conservation():
     rng = random.Random(42)
     for _ in range(60):

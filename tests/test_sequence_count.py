@@ -21,7 +21,7 @@ from tadoc import kernels, oracle
 from tadoc.corpus import Dictionary, encode_corpus, tokenize
 from tadoc.dag import load_merge_graph
 from tadoc.scheduler import run_parallel
-from tadoc.sequitur import Grammar, parents_first
+from tadoc.sequitur import EXPANSION_CAP, Grammar, expansions, parents_first
 
 LENGTHS = range(2, 9)
 
@@ -234,7 +234,7 @@ def test_mixed_corpus_takes_both_paths():
 
 def test_rule_over_the_cap_is_never_expanded(monkeypatch):
     # f1 and f2 are each one occurrence of a rule of more words than the cap
-    long_text = _fresh_text(2, kernels._SHORT_RULE_WORDS + 44)
+    long_text = _fresh_text(2, EXPANSION_CAP + 44)
     files = [
         ("f0", "a b c a b"),
         ("f1", long_text),
@@ -246,17 +246,16 @@ def test_rule_over_the_cap_is_never_expanded(monkeypatch):
     (rule,) = root[slice(*dag.segments[1])]
     assert root[slice(*dag.segments[2])] == [rule]
     assert list(kernels._short_runs(dag)) == [0, 3]
-    assert kernels._expansions(dag, kernels._SHORT_RULE_WORDS)[rule] is None
+    assert expansions(dag.grammar().rules, dag.n_terminals, EXPANSION_CAP)[rule] is None
 
     built = []
-    expansions = kernels._expansions
 
-    def spy(dag, cap):
-        built.append(expansions(dag, cap))
+    def spy(rules, n_terminals, cap):
+        built.append(expansions(rules, n_terminals, cap))
         return built[-1]
 
-    monkeypatch.setattr(kernels, "_expansions", spy)
+    monkeypatch.setattr(kernels, "expansions", spy)
     assert_exact(files, both_paths=False)
     assert built
     longest = max(len(words) for table in built for words in table if words is not None)
-    assert longest <= kernels._SHORT_RULE_WORDS
+    assert longest <= EXPANSION_CAP

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import pooled_stream, random_corpus, random_stream
 from tadoc.corpus import MalformedStreamError, encode_corpus
 from tadoc.sequitur import (
+    EXPANSION_CAP,
     Grammar,
     GrammarError,
     duplicate_digrams,
     expand,
+    expansions,
     grammar_stats,
     infer_grammar,
     parents_first,
@@ -94,8 +96,150 @@ def test_expand_single_indirection():
 
 
 def test_expand_dangling_rule():
-    with pytest.raises(GrammarError):
-        expand(Grammar(5, 5, [[9]]))
+    for grammar in (Grammar(5, 5, [[9]]), Grammar(4, 4, [[5], [0, 9]]), Grammar(4, 4, [[0, 7]])):
+        with pytest.raises(GrammarError, match="dangling"):
+            expand(grammar)
+
+
+def test_expand_negative_symbol():
+    for rules in ([[-1, 0, 3]], [[5, 0], [0, -1]], [[5, 5], [-5, 1]]):
+        with pytest.raises(GrammarError, match="negative"):
+            expand(Grammar(4, 3, rules))
+
+
+def reference_expand(grammar: Grammar, rid: int | None = None) -> list[int]:
+    """What rule `rid` (the root by default) derives, by plain recursion;
+    GrammarError for a negative or undefined symbol or a cycle on the way."""
+    n = grammar.n_terminals
+    out: list[int] = []
+
+    def walk(rid: int, path: frozenset) -> None:
+        if rid in path:
+            raise GrammarError("cycle")
+        for sym in grammar.body(rid):
+            if sym < 0:
+                raise GrammarError("negative")
+            if sym < n:
+                out.append(sym)
+            else:
+                walk(sym, path | {rid})
+
+    walk(grammar.root_id if rid is None else rid, frozenset())
+    return out
+
+
+def outcome(fn, grammar: Grammar):
+    try:
+        return fn(grammar)
+    except GrammarError:
+        return GrammarError
+
+
+def shuffled(grammar: Grammar, rng: random.Random) -> Grammar:
+    """`grammar` with its rules other than the root stored in random order."""
+    n = grammar.n_terminals
+    order = [0] + rng.sample(range(1, len(grammar.rules)), len(grammar.rules) - 1)
+    number = {n + old: n + new for new, old in enumerate(order)}
+    rules = [[number.get(sym, sym) for sym in grammar.rules[old]] for old in order]
+    return Grammar(n, grammar.n_words, rules)
+
+
+def assert_memo_matches_reference(grammar: Grammar, cap: int) -> None:
+    """Each entry is the rule's expansion or None; with parents first, it
+    is None exactly for the root and the rules over the cap."""
+    memo = expansions(grammar.rules, grammar.n_terminals, cap)
+    assert memo[: grammar.n_terminals] == [(code,) for code in range(grammar.n_terminals)]
+    assert memo[grammar.root_id] is None
+    exact = is_parents_first(grammar)
+    for rid in range(grammar.root_id + 1, len(memo)):
+        words = tuple(reference_expand(grammar, rid))
+        if len(words) > cap:
+            assert memo[rid] is None, rid
+        elif exact:
+            assert memo[rid] == words, rid
+        else:
+            assert memo[rid] in (None, words), rid
+
+
+def test_expand_matches_the_reference_on_inferred_grammars():
+    rng = random.Random(15)
+    for trial in range(300):
+        if trial % 2:
+            stream, n = random_stream(rng)
+            n_words = n
+        else:
+            stream, n, n_words = pooled_stream(rng)
+        grammar = infer_grammar(stream, n, n_words)
+        assert expand(grammar) == reference_expand(grammar) == stream, trial
+        assert_memo_matches_reference(grammar, rng.choice((2, 5, EXPANSION_CAP)))
+        # not parents first: rules a child of theirs follows have no entry,
+        # so their users are walked
+        if len(grammar.rules) > 2:
+            renumbered = shuffled(grammar, rng)
+            assert expand(renumbered) == reference_expand(renumbered) == stream, trial
+            assert_memo_matches_reference(renumbered, EXPANSION_CAP)
+
+
+def test_expand_walks_rules_over_the_cap():
+    rng = random.Random(16)
+    over = EXPANSION_CAP + 40
+    block = [rng.randrange(1000) for _ in range(over)]
+    short = [rng.randrange(1000) for _ in range(5)]
+    stream = block + short + [1000] + short + block + block + [1001] + short
+    grammar = infer_grammar(stream, 1002, 1000)
+    memo = expansions(grammar.rules, grammar.n_terminals, EXPANSION_CAP)
+    root = grammar.rules[0]
+    rules = [sym for sym in root if sym >= grammar.n_terminals]
+    # the root mixes terminals, rules with an entry and rules over the cap
+    assert any(sym < grammar.n_terminals for sym in root)
+    assert any(memo[sym] is not None for sym in rules)
+    assert any(memo[sym] is None for sym in rules)
+    assert expand(grammar) == reference_expand(grammar) == stream
+    renumbered = shuffled(grammar, rng)
+    assert expand(renumbered) == reference_expand(renumbered) == stream
+
+
+def test_expand_mixed_hand_built_root():
+    cap = EXPANSION_CAP
+    # 5: a body longer than the cap; 6: two words; 7: a body within the cap
+    # of 2 * cap words; 8: a rule over the cap through its children
+    rules = [
+        [5, 2, 6, 7, 0, 8, 6, 5],
+        [0] * (cap + 1),
+        [0, 1],
+        [6] * cap,
+        [5, 6],
+    ]
+    grammar = Grammar(4, 3, rules)
+    memo = expansions(rules, 4, cap)
+    assert memo[5] is None and memo[6] == (0, 1) and memo[7] is None and memo[8] is None
+    assert expand(grammar) == reference_expand(grammar)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_expand_raises_where_the_reference_does(rng):
+    # an inferred grammar with a few symbols replaced: a dangling id, a
+    # negative code, or a reference to any rule, which may close a cycle
+    # or break parents-first order
+    stream, n, n_words = pooled_stream(rng, max_sentences=10)
+    grammar = infer_grammar(stream, n, n_words)
+    rules = [list(body) for body in grammar.rules]
+    end = n + len(rules)
+    for _ in range(rng.randint(1, 3)):
+        body = rng.choice(rules)
+        if body:
+            body[rng.randrange(len(body))] = rng.choice(
+                (end + rng.randrange(3), -1 - rng.randrange(end), rng.randrange(n, end))
+            )
+    mutated = Grammar(n, n_words, rules)
+    assert outcome(expand, mutated) == outcome(reference_expand, mutated)
+
+
+def test_expand_reference_cycle():
+    for rules in ([[4]], [[5], [6], [5]], [[5, 0], [0, 6], [1, 5]]):
+        with pytest.raises(GrammarError, match="cycle"):
+            expand(Grammar(4, 4, rules))
 
 
 def test_stats_reference_grammar():
@@ -176,13 +320,10 @@ def test_inferred_grammars_are_parents_first(case, rng):
     assert is_parents_first(grammar)
     assert parents_first(grammar) == grammar
     # any other numbering is put back in an order that expands the same
-    order = [0] + rng.sample(range(1, len(grammar.rules)), len(grammar.rules) - 1)
-    number = {n + old: n + new for new, old in enumerate(order)}
-    rules = [[number.get(sym, sym) for sym in grammar.rules[old]] for old in order]
-    shuffled = Grammar(n, n_words, rules)
-    renumbered = parents_first(shuffled)
+    stored = shuffled(grammar, rng)
+    renumbered = parents_first(stored)
     assert is_parents_first(renumbered)
-    assert expand(renumbered) == expand(shuffled) == stream
+    assert expand(renumbered) == expand(stored) == stream
 
 
 def test_parents_first_rejects_cycles_and_dangling_rules():
