@@ -15,25 +15,18 @@ from .sequitur import Grammar, GrammarError, expand, grammar_stats, infer_gramma
 from .container import (
     BadMagicError,
     ChecksumError,
-    CompressionReport,
     ContainerError,
     ContainerHeader,
     DeflateError,
     FeatureMismatchError,
     TruncatedContainerError,
-    compression_report,
     load_container,
     read_container,
     read_header,
     write_container,
 )
-from .dag import Dag, DatasetFeatures, coarsen, extract_features, load_merge_graph
-from .scheduler import (
-    PartitionPlan,
-    plan_partitions,
-    run_parallel,
-    select_variant,
-)
+from .dag import Dag, coarsen, load_merge_graph
+from .scheduler import PartitionPlan, plan_partitions, run_parallel
 
 __version__ = "0.1.0"
 
@@ -54,25 +47,20 @@ __all__ = [
     "infer_grammar",
     "BadMagicError",
     "ChecksumError",
-    "CompressionReport",
     "ContainerError",
     "ContainerHeader",
     "DeflateError",
     "FeatureMismatchError",
     "TruncatedContainerError",
-    "compression_report",
     "load_container",
     "read_container",
     "read_header",
     "write_container",
     "Dag",
-    "DatasetFeatures",
     "coarsen",
-    "extract_features",
     "load_merge_graph",
     "PartitionPlan",
     "plan_partitions",
     "run_parallel",
-    "select_variant",
     "__version__",
 ]

@@ -28,14 +28,11 @@ from .container import (
     read_header,
     write_container,
 )
-from .dag import extract_features
-from .kernels import INDEX_VARIANTS, TASKS, run_task
-from .scheduler import select_variant
+from .kernels import TASKS, run_task, select_variant
 from .sequitur import expand, infer_grammar
 
 # command-line names are the library's names with hyphens
 TASK_NAMES = {task.replace("_", "-"): task for task in TASKS}
-VARIANT_NAMES = {variant.replace("_", "-"): variant for variant in INDEX_VARIANTS}
 ENGINES = ("cd", "baseline", "gzip")
 
 
@@ -223,15 +220,12 @@ def _oracle_compute(task, lists, l, top_k):
     raise ValueError(f"unknown task {task!r}")
 
 
-def _resolve_variant(requested, header):
-    if requested != "auto":
-        return VARIANT_NAMES[requested]
-    features = extract_features(None, header)
-    variant = select_variant(features)
-    _log(
-        f"variant auto: {variant} (avg_file_tokens="
-        f"{features.avg_file_tokens:.1f}, files={features.file_count})"
-    )
+def _auto_variant(header) -> str:
+    """The inverted-index traversal for the container's corpus, logged with
+    the figures it was chosen from."""
+    files, tokens = header.file_count, header.total_tokens
+    variant = select_variant(files, tokens)
+    _log(f"variant auto: {variant} (avg_file_tokens={tokens / files:.1f}, files={files})")
     return variant
 
 
@@ -316,7 +310,7 @@ def _analyze(args) -> int:
         data = handle.read()
     dictionary, dag, header = load_container(data)
     names = [entry.name for entry in header.file_table]
-    variant = _resolve_variant(args.variant, header)
+    variant = _auto_variant(header)
     result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0
@@ -325,14 +319,13 @@ def _analyze(args) -> int:
 def cmd_features(args) -> int:
     with open(args.container, "rb") as handle:
         header = read_header(handle.read())
-    features = extract_features(None, header)
     rows = [
-        ("files", features.file_count),
-        ("tokens", features.total_tokens),
-        ("avg_file_tokens", round(features.avg_file_tokens, 3)),
-        ("vocabulary", features.vocab_size),
-        ("rules", features.rule_count),
-        ("container_bytes", features.container_size),
+        ("files", header.file_count),
+        ("tokens", header.total_tokens),
+        ("avg_file_tokens", round(header.total_tokens / header.file_count, 3)),
+        ("vocabulary", header.word_count),
+        ("rules", header.rule_count),
+        ("container_bytes", header.container_size),
         ("outer_layer", "deflate" if header.deflate else "none"),
     ]
     if args.output == "json":
@@ -411,7 +404,7 @@ def cmd_bench(args) -> int:
     container_path = os.path.join(workdir, "corpus.tdoc")
     header, plain_size, compress_seconds = _prepare_container(pairs, container_path)
     container_size = header.container_size
-    variant = _resolve_variant(args.variant, header)
+    variant = _auto_variant(header)
 
     gz_pairs = []
     gz_size = 0
@@ -574,12 +567,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cd runs on the container; baseline/gzip run on raw/.gz text",
     )
     p.add_argument(
-        "--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)],
+        "--variant", default="auto", choices=["auto"],
+        help="only auto: the inverted-index traversal is chosen from the corpus",
     )
     p.add_argument(
-        "--workers", type=_at_least_one, default=os.environ.get("TADOC_WORKERS", "1"),
-        help="accepted for compatibility (default: $TADOC_WORKERS, else 1); "
-        "every job runs on the loaded grammar whatever its value",
+        "--workers", type=_at_least_one, default=1,
+        help="accepted for compatibility; every job runs on the loaded grammar "
+        "whatever its value",
     )
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
@@ -600,7 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated engines to time, each at most once",
     )
     p.add_argument("--repeat", type=_at_least_one, default=3)
-    p.add_argument("--variant", default="auto", choices=["auto", *sorted(VARIANT_NAMES)])
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
     p.add_argument("--workdir", help="artifact directory (default: a temp dir)")

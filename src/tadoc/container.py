@@ -11,7 +11,8 @@ few C-level calls. Words and file names are each one UTF-8 blob. See
 docs/format.md for a hex-annotated example.
 
 `read_container` checks what the bytes say: preamble, CRC32, layout,
-header, file table (token counts and separator codes) and blob counts.
+header, file table (at least one file, token counts and separator codes)
+and blob counts.
 The grammar's structure (parents-first order, defined and reachable
 rules, separator placement, the token total) is checked once, by the DAG
 load, which visits every rule anyway; `load_container` runs the read and
@@ -186,6 +187,8 @@ def write_container(
     file_table: list[FileEntry],
     deflate: bool = True,
 ) -> bytes:
+    if not file_table:
+        raise ContainerError("the file table holds no files")
     if dictionary.n_total != grammar.n_terminals:
         raise ContainerError("dictionary and grammar disagree on terminal count")
     if dictionary.separator_count != len(file_table):
@@ -275,6 +278,8 @@ def _parse_header(
         names_size,
         words_size,
     ) = _HEADER.unpack_from(payload)
+    if not file_count:
+        raise ContainerError("the file table holds no files")
     token_counts, pos = _read_plane(payload, _HEADER.size, file_count)
     if sum(token_counts) != total_tokens:
         raise FeatureMismatchError(
@@ -365,29 +370,3 @@ def load_container(data: bytes) -> tuple[Dictionary, Dag, ContainerHeader]:
             f"token count {header.total_tokens} != recomputed {dag.total_tokens}"
         )
     return dictionary, dag, header
-
-
-# -- reporting -----------------------------------------------------------------
-
-
-@dataclass
-class CompressionReport:
-    """Size ratios, defined as size(original) / size(compressed)."""
-
-    raw_size: int
-    container_size: int
-    deflate_of_raw_size: int
-
-    @property
-    def container_ratio(self) -> float:
-        return self.raw_size / self.container_size
-
-    @property
-    def deflate_ratio(self) -> float:
-        return self.raw_size / self.deflate_of_raw_size
-
-
-def compression_report(
-    raw_size: int, container_size: int, deflate_of_raw_size: int
-) -> CompressionReport:
-    return CompressionReport(raw_size, container_size, deflate_of_raw_size)

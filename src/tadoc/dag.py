@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 
-from .corpus import CorpusError
 from .sequitur import Grammar, GrammarError
 
 
@@ -222,42 +221,3 @@ def node_frequencies(dag: Dag) -> dict[int, int]:
             for child, mult in dag.nodes[rid].child_counts.items():
                 freq[child] += f * mult
     return freq
-
-
-@dataclass
-class DatasetFeatures:
-    file_count: int
-    total_tokens: int
-    vocab_size: int
-    rule_count: int
-    container_size: int = 0
-
-    @property
-    def avg_file_tokens(self) -> float:
-        return self.total_tokens / self.file_count
-
-
-def extract_features(dag: Dag, header=None) -> DatasetFeatures:
-    """Corpus features driving traversal-variant selection.
-
-    With a container header the values are passed through from metadata;
-    otherwise they are recomputed from the graph.
-    """
-    if header is not None:
-        features = DatasetFeatures(
-            file_count=len(header.file_table),
-            total_tokens=header.total_tokens,
-            vocab_size=header.word_count,
-            rule_count=header.rule_count,
-            container_size=header.container_size,
-        )
-    else:
-        features = DatasetFeatures(
-            file_count=dag.file_count,
-            total_tokens=dag.total_tokens,
-            vocab_size=dag.n_words,
-            rule_count=len(dag.nodes),
-        )
-    if features.file_count < 1:
-        raise CorpusError("corpus has no files")
-    return features

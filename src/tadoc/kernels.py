@@ -28,7 +28,8 @@ the oracle sums them.
 gram name for the order-sensitive tasks) into a task's result; the per-file
 kernels and `run_parallel`, which counts plain code streams with the same
 run counters as short files, share it. The CLI and `tadoc bench` share
-`run_task` (task to kernel).
+`run_task` (task to kernel) and `select_variant`, which picks the
+inverted-index traversal from the corpus's file and token counts.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ TASKS = (
 ORDER_SENSITIVE = ("sequence_count", "ranked_inverted_index")
 
 INDEX_VARIANTS = ("postorder", "preorder_set", "preorder_bitmap", "preorder_twolevel")
+
+
+def select_variant(file_count: int, total_tokens: int) -> str:
+    """The inverted-index traversal for a corpus, by the published
+    thresholds: postorder when files average under 2860 tokens, else
+    preorder over a two-level bitmap from 801 files and a bitmap below."""
+    if total_tokens < 2860 * file_count:
+        return "postorder"
+    if file_count >= 801:
+        return "preorder_twolevel"
+    return "preorder_bitmap"
 
 
 def run_task(
@@ -398,24 +410,6 @@ def tfidf(dag: Dag, dictionary: Dictionary) -> dict[str, dict[int, float]]:
 
 
 # -- sequence count -----------------------------------------------------------
-
-
-def depth_first_words(dag: Dag):
-    """Word codes of all files in traversal order (separators skipped)."""
-    nodes = dag.nodes
-    n = dag.n_terminals
-    root = nodes[dag.root_id].elements
-    for start, end in dag.segments:
-        stack = [iter(root[start:end])]
-        while stack:
-            for sym in stack[-1]:
-                if sym < n:
-                    yield sym
-                else:
-                    stack.append(iter(nodes[sym].elements))
-                    break
-            else:
-                stack.pop()
 
 
 def _crossing_windows(

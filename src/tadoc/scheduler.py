@@ -1,10 +1,6 @@
-"""Traversal-variant selection and coarse-grained partitioning.
+"""Coarse-grained partitioning of files onto workers.
 
-`select_variant` applies the published thresholds: small average file size
-favors postorder; otherwise preorder, with the two-level bitmap once the
-corpus has many files.
-
-Partitioning packs whole files largest-first onto workers; a file is split
+Whole files are packed largest-first onto workers; a file is split
 into equal token-range sections, never more than it has tokens, only when
 it exceeds h_split = S/(2*n_w) and keeping it whole would leave some
 partition above 1.25x the average worker load.
@@ -31,17 +27,7 @@ from functools import partial
 
 from . import kernels
 from .corpus import Dictionary
-from .dag import DatasetFeatures
 from .kernels import ORDER_SENSITIVE, TASKS
-
-
-def select_variant(features: DatasetFeatures) -> str:
-    """Pick a traversal variant from the published thresholds."""
-    if features.avg_file_tokens < 2860:
-        return "postorder"
-    if features.file_count >= 801:
-        return "preorder_twolevel"
-    return "preorder_bitmap"
 
 
 # -- partitioning ---------------------------------------------------------------

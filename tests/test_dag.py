@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_dag, random_corpus
-from tadoc.container import ContainerHeader
-from tadoc.corpus import CorpusError, FileEntry
-from tadoc.dag import (
-    coarsen,
-    extract_features,
-    load_merge_graph,
-    node_frequencies,
-)
+from tadoc.dag import coarsen, load_merge_graph, node_frequencies
 from tadoc.sequitur import Grammar, GrammarError, expand
 
 
@@ -194,40 +187,3 @@ def test_load_counts_the_words_of_the_expansion(grammar):
     separators = grammar.n_terminals - grammar.n_words
     if separators:
         assert dag.file_count == separators
-
-
-def test_extract_features_from_graph():
-    dictionary, encoded, dag = build_dag(REF_FILES)
-    features = extract_features(dag)
-    assert features.file_count == 1
-    assert features.total_tokens == 15
-    assert features.avg_file_tokens == 15
-    assert features.vocab_size == 4
-
-
-def test_extract_features_header_passthrough():
-    header = ContainerHeader(
-        version=1,
-        deflate=True,
-        n_terminals=6_370_441,
-        word_count=6_370_437,
-        file_table=[FileEntry(f"f{i}", 10, 6_370_437 + i) for i in range(4)],
-        total_tokens=40,
-        vocab_size=6_370_437,
-        rule_count=2_095_573,
-        container_size=123,
-    )
-    features = extract_features(None, header)
-    assert features.file_count == 4
-    assert features.vocab_size == 6_370_437
-    assert features.rule_count == 2_095_573
-    assert features.container_size == 123
-
-
-def test_extract_features_rejects_empty_file_table():
-    header = ContainerHeader(
-        version=1, deflate=False, n_terminals=1, word_count=1,
-        file_table=[], total_tokens=0, vocab_size=1, rule_count=1,
-    )
-    with pytest.raises(CorpusError):
-        extract_features(None, header)

@@ -176,14 +176,6 @@ def test_tfidf_reference_values():
     assert scores["c"] == {1: 1 * math.log(2)}
 
 
-def test_traversal_order_matches_expansion():
-    rng = random.Random(19)
-    for _ in range(30):
-        dictionary, encoded, dag = build_dag(random_corpus(rng))
-        visited = list(kernels.depth_first_words(dag))
-        assert visited == [s for s in encoded.symbols if s < dictionary.word_count]
-
-
 def test_all_kernels_match_oracle():
     rng = random.Random(23)
     for _ in range(40):

@@ -5,32 +5,19 @@ import pytest
 from conftest import build_dag, random_corpus
 from tadoc import kernels, oracle
 from tadoc.corpus import encode_corpus, encode_tokens, tokenize
-from tadoc.dag import DatasetFeatures
-from tadoc.scheduler import (
-    TASKS,
-    plan_partitions,
-    run_parallel,
-    select_variant,
-)
-
-
-def features(avg, files):
-    return DatasetFeatures(
-        file_count=files,
-        total_tokens=int(avg * files),
-        vocab_size=100,
-        rule_count=10,
-    )
+from tadoc.kernels import select_variant
+from tadoc.scheduler import TASKS, plan_partitions, run_parallel
 
 
 def test_selector_published_thresholds():
-    assert select_variant(features(1000, 10)) == "postorder"
-    assert select_variant(features(5000, 2000)) == "preorder_twolevel"
-    assert select_variant(features(5000, 100)) == "preorder_bitmap"
+    # (files, tokens): averages of 1000 and 5000 tokens
+    assert select_variant(10, 10_000) == "postorder"
+    assert select_variant(2000, 10_000_000) == "preorder_twolevel"
+    assert select_variant(100, 500_000) == "preorder_bitmap"
     # boundary behavior: avg below 2860 goes postorder, files above 800 twolevel
-    assert select_variant(features(2859.9, 10_000)) == "postorder"
-    assert select_variant(features(2860, 801)) == "preorder_twolevel"
-    assert select_variant(features(2860, 800)) == "preorder_bitmap"
+    assert select_variant(10_000, 28_599_000) == "postorder"  # avg 2859.9
+    assert select_variant(801, 2860 * 801) == "preorder_twolevel"
+    assert select_variant(800, 2860 * 800) == "preorder_bitmap"
 
 
 def test_balanced_whole_files_are_not_split():
