@@ -10,13 +10,17 @@ zeros that DEFLATE shrinks, and the reader turns planes back into ints in a
 few C-level calls. Words and file names are each one UTF-8 blob. See
 docs/format.md for a hex-annotated example.
 
-`read_container` checks what the bytes say: preamble, CRC32, layout,
-header, file table (at least one file, token counts and separator codes)
-and blob counts.
-The grammar's structure (parents-first order, defined and reachable
-rules, separator placement, the token total) is checked once, by the DAG
-load, which visits every rule anyway; `load_container` runs the read and
-then that load.
+Each fact is stored once. The header holds the word count V, the file
+count F, the rule count R and the two blob sizes; what follows from them
+is derived, not stored: the terminal count N = V + F, file *i*'s
+separator code V + *i*, and the token total W, the sum of the file
+table's token counts.
+
+`read_container` checks what the bytes say: preamble, CRC32, layout, a
+file table of at least one file, and blob counts. The grammar's structure
+(parents-first order, defined and reachable rules, separator placement,
+the token total) is checked once, by the DAG load, which visits every rule
+anyway; `load_container` runs the read and then that load.
 """
 
 from __future__ import annotations
@@ -33,15 +37,15 @@ from .dag import Dag, load_merge_graph
 from .sequitur import Grammar, GrammarError
 
 MAGIC = b"TDOC"
-VERSION = 3
+VERSION = 4
 PREAMBLE_SIZE = 16
 FLAG_DEFLATE = 0x01
 # preamble bytes 6..9: CRC32 of every byte after the preamble
 _CRC = struct.Struct("<I")
 _CRC_OFFSET = 6
-# header block: n_terminals, word_count, file_count, total_tokens,
-# vocab_size, rule_count, byte sizes of the names and words blobs
-_HEADER = struct.Struct("<8I")
+# header block: word_count, file_count, rule_count, byte sizes of the
+# names and words blobs
+_HEADER = struct.Struct("<5I")
 _NAME_SEP = "\0"
 _WORD_SEP = "\n"
 
@@ -75,24 +79,27 @@ class DeflateError(ContainerError):
 
 
 class FeatureMismatchError(ContainerError):
-    """Header feature block disagrees with recomputed payload values."""
+    """A stored token count disagrees with the grammar's expansion."""
 
 
 @dataclass
 class ContainerHeader:
     version: int
     deflate: bool
-    n_terminals: int
     word_count: int
     file_table: list[FileEntry]
-    total_tokens: int
-    vocab_size: int
+    total_tokens: int  # the sum of the file table's token counts
     rule_count: int
     container_size: int = 0
 
     @property
     def file_count(self) -> int:
         return len(self.file_table)
+
+    @property
+    def n_terminals(self) -> int:
+        """N: the word codes, then one separator code per file."""
+        return self.word_count + self.file_count
 
 
 # -- byte planes and blobs -----------------------------------------------------
@@ -159,11 +166,8 @@ def build_payload(
     words = _blob(dictionary.words, _WORD_SEP, "dictionary word")
     try:
         header = _HEADER.pack(
-            grammar.n_terminals,
             dictionary.word_count,
             len(file_table),
-            sum(e.token_count for e in file_table),
-            dictionary.word_count,
             len(grammar.rules),
             len(names),
             len(words),
@@ -173,7 +177,6 @@ def build_payload(
     return b"".join((
         header,
         _plane([e.token_count for e in file_table]),
-        _plane([e.separator_code for e in file_table]),
         names,
         words,
         _plane(map(len, grammar.rules)),
@@ -193,14 +196,6 @@ def write_container(
         raise ContainerError("dictionary and grammar disagree on terminal count")
     if dictionary.separator_count != len(file_table):
         raise ContainerError("file table does not match separator count")
-    word_count = dictionary.word_count
-    if [e.separator_code for e in file_table] != list(
-        range(word_count, dictionary.n_total)
-    ):
-        raise ContainerError(
-            f"file table separator codes are not {word_count}, "
-            f"{word_count} + 1, ... in file order"
-        )
     payload = build_payload(dictionary, grammar, file_table)
     flags = FLAG_DEFLATE if deflate else 0
     if deflate:
@@ -268,38 +263,19 @@ def _parse_header(
     words blob, and the offset after the table."""
     if len(payload) < _HEADER.size:
         raise TruncatedContainerError("header block runs past end of payload")
-    (
-        n_terminals,
-        word_count,
-        file_count,
-        total_tokens,
-        vocab_size,
-        rule_count,
-        names_size,
-        words_size,
-    ) = _HEADER.unpack_from(payload)
+    word_count, file_count, rule_count, names_size, words_size = _HEADER.unpack_from(
+        payload
+    )
     if not file_count:
         raise ContainerError("the file table holds no files")
     token_counts, pos = _read_plane(payload, _HEADER.size, file_count)
-    if sum(token_counts) != total_tokens:
-        raise FeatureMismatchError(
-            f"token count {total_tokens} != file table sum {sum(token_counts)}"
-        )
-    separators, pos = _read_plane(payload, pos, file_count)
-    if separators != list(range(word_count, word_count + file_count)):
-        raise ContainerError(
-            f"file table separator codes are not {word_count}, "
-            f"{word_count} + 1, ... in file order"
-        )
     names = _read_blob(payload, pos, names_size, _NAME_SEP, file_count, "file name")
     header = ContainerHeader(
         version=version,
         deflate=deflate,
-        n_terminals=n_terminals,
         word_count=word_count,
-        file_table=list(map(FileEntry, names, token_counts, separators)),
-        total_tokens=total_tokens,
-        vocab_size=vocab_size,
+        file_table=list(map(FileEntry, names, token_counts)),
+        total_tokens=sum(token_counts),
         rule_count=rule_count,
     )
     return header, words_size, pos + names_size
@@ -327,7 +303,7 @@ def read_container(data: bytes) -> tuple[Dictionary, Grammar, ContainerHeader]:
     words = _read_blob(
         payload, pos, words_size, _WORD_SEP, header.word_count, "dictionary word"
     )
-    dictionary = Dictionary(words, header.n_terminals - header.word_count)
+    dictionary = Dictionary(words, header.file_count)
 
     lengths, pos = _read_plane(payload, pos + words_size, header.rule_count)
     symbols, pos = _read_plane(payload, pos, sum(lengths))
@@ -336,21 +312,7 @@ def read_container(data: bytes) -> tuple[Dictionary, Grammar, ContainerHeader]:
     bounds = list(itertools.accumulate(lengths, initial=0))
     bodies = list(map(symbols.__getitem__, map(slice, bounds, bounds[1:])))
     grammar = Grammar(header.n_terminals, header.word_count, bodies)
-
-    _verify_features(header, dictionary)
     return dictionary, grammar, header
-
-
-def _verify_features(header, dictionary: Dictionary) -> None:
-    if header.vocab_size != dictionary.word_count:
-        raise FeatureMismatchError(
-            f"vocabulary size {header.vocab_size} != dictionary {dictionary.word_count}"
-        )
-    if header.file_count != dictionary.separator_count:
-        raise FeatureMismatchError(
-            f"file count {header.file_count} != separator count "
-            f"{dictionary.separator_count}"
-        )
 
 
 def load_container(data: bytes) -> tuple[Dictionary, Dag, ContainerHeader]:
@@ -358,7 +320,7 @@ def load_container(data: bytes) -> tuple[Dictionary, Dag, ContainerHeader]:
 
     The load checks the grammar's structure (`dag.load_merge_graph`); a
     fault it finds is a ContainerError here, and so is an expansion whose
-    word count differs from the header's.
+    word count differs from the file table's total.
     """
     dictionary, grammar, header = read_container(data)
     try:

@@ -77,8 +77,7 @@ class Dictionary:
 @dataclass
 class FileEntry:
     name: str
-    token_count: int
-    separator_code: int
+    token_count: int  # words in the file; its separator code is word_count + index
 
 
 @dataclass
@@ -126,10 +125,9 @@ def encode_corpus(
     symbols: list[int] = []
     file_table: list[FileEntry] = []
     for index, (name, file_codes) in enumerate(encoded_files):
-        separator = word_count + index
         symbols.extend(file_codes)
-        symbols.append(separator)
-        file_table.append(FileEntry(name, len(file_codes), separator))
+        symbols.append(word_count + index)
+        file_table.append(FileEntry(name, len(file_codes)))
 
     dictionary = Dictionary(words, separator_count=len(files), _codes=codes)
     return dictionary, EncodedCorpus(symbols, file_table)

@@ -33,9 +33,9 @@ class Dag:
     n_terminals: int
     n_words: int
     root_id: int
+    # rule id -> node in rule-id order: root first, parents before children
     nodes: dict[int, Node]
     segments: list[tuple[int, int]]  # root-body span per file, separator excluded
-    topo: list[int]  # rule ids in order: root first, parents before children
     total_tokens: int  # words in the expansion, separators excluded
 
     def is_rule(self, symbol: int) -> bool:
@@ -58,11 +58,12 @@ def load_merge_graph(grammar: Grammar) -> Dag:
     """Build nodes with merged weighted edges and per-file root segments,
     checking the grammar's structure in the same pass.
 
-    Raises GrammarError unless the rules are stored parents first (see
-    `sequitur.parents_first`), every reference names a rule, every rule but
-    the root is referenced, and each separator code appears exactly once, in
-    the root only. Rule-id order is then the DAG's topological order. Nodes
-    borrow the grammar's body lists; neither side mutates them.
+    Raises GrammarError unless every symbol is non-negative, the rules are
+    stored parents first (see `sequitur.parents_first`), every reference
+    names a rule, every rule but the root is referenced, and each separator
+    code appears exactly once, in the root only. Rule-id order is then the
+    DAG's topological order. Nodes borrow the grammar's body lists; neither
+    side mutates them.
     """
     n = grammar.n_terminals
     n_words = grammar.n_words
@@ -87,10 +88,10 @@ def load_merge_graph(grammar: Grammar) -> Dag:
                 for sym, count in Counter(body).items():
                     if sym >= n:
                         child_counts[sym] = count
-                    elif sym < n_words:
+                    elif 0 <= sym < n_words:
                         term_counts[sym] = count
-                    elif rid != root_id:
-                        raise _separator_in_rule(sym, rid)
+                    elif sym < 0 or rid != root_id:
+                        raise _misplaced(sym, rid)
                 size = sum(term_counts.values()) + sum(
                     map(mul, map(length.__getitem__, child_counts), child_counts.values())
                 )
@@ -100,11 +101,11 @@ def load_merge_graph(grammar: Grammar) -> Dag:
                     if sym >= n:
                         child_counts[sym] = child_counts.get(sym, 0) + 1
                         size += length[sym]
-                    elif sym < n_words:
+                    elif 0 <= sym < n_words:
                         term_counts[sym] = term_counts.get(sym, 0) + 1
                         size += 1
-                    elif rid != root_id:
-                        raise _separator_in_rule(sym, rid)
+                    elif sym < 0 or rid != root_id:
+                        raise _misplaced(sym, rid)
             if child_counts:
                 referenced.update(child_counts)
             length[rid] = size
@@ -122,14 +123,17 @@ def load_merge_graph(grammar: Grammar) -> Dag:
         raise GrammarError("grammar has unreachable rules")
     nodes = dict(zip(range(n, end), reversed(built)))
     segments = _root_segments(nodes[root_id], n_words, n)
-    return Dag(n, n_words, root_id, nodes, segments, list(nodes), length[root_id])
+    return Dag(n, n_words, root_id, nodes, segments, length[root_id])
 
 
 # bodies longer than this are counted with Counter
 _COUNTER_MIN_BODY = 16
 
 
-def _separator_in_rule(sym: int, rid: int) -> GrammarError:
+def _misplaced(sym: int, rid: int) -> GrammarError:
+    """A negative symbol, or a separator code in a rule other than the root."""
+    if sym < 0:
+        return GrammarError(f"negative symbol {sym} in rule {rid}")
     return GrammarError(f"separator code {sym} in rule {rid}, outside the root")
 
 
@@ -182,8 +186,7 @@ def coarsen(dag: Dag, threshold: int = 100) -> Dag:
     """
     inlined: dict[int, list[int]] = {}
     final: dict[int, list[int]] = {}
-    for rid in reversed(dag.topo):
-        node = dag.nodes[rid]
+    for rid, node in reversed(dag.nodes.items()):
         if not node.child_counts:
             elements = node.elements
         else:
@@ -215,9 +218,9 @@ def node_frequencies(dag: Dag) -> dict[int, int]:
     """Occurrences of each rule in the full expansion (root has 1)."""
     freq = dict.fromkeys(dag.nodes, 0)
     freq[dag.root_id] = 1
-    for rid in dag.topo:
+    for rid, node in dag.nodes.items():
         f = freq[rid]
         if f:
-            for child, mult in dag.nodes[rid].child_counts.items():
+            for child, mult in node.child_counts.items():
                 freq[child] += f * mult
     return freq

@@ -1,10 +1,11 @@
 """Analytics kernels that run directly on the grammar DAG.
 
 Whole-corpus word counts and the inverted index fold or push the
-merged-edge tables over `dag.topo`. Grammars number their rules parents
-first, so `dag.topo` is plain rule-id order and lists every parent before
-its children: a node's frequency or file set is complete when its turn
-comes, and the per-file push-down below orders its heap by rule id.
+merged-edge tables over `dag.nodes`. Grammars number their rules parents
+first, and `dag.nodes` holds them in rule-id order, so it lists every
+parent before its children: a node's frequency or file set is complete
+when its turn comes, and the per-file push-down below orders its heap by
+rule id.
 
 Per-file tasks choose a path per file (`_by_path`), reading only the
 grammar. A short file, whose root segment has at most 256 elements that
@@ -39,7 +40,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 from .bitmap import make_file_set
@@ -109,8 +110,7 @@ def run_task(
 def word_count_postorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
     """Word totals from a full count table per node, children folded first."""
     tables: dict[int, Counter] = {}
-    for rid in reversed(dag.topo):
-        node = dag.nodes[rid]
+    for rid, node in reversed(dag.nodes.items()):
         table = Counter(node.term_counts)
         for child, mult in node.child_counts.items():
             child_table = tables[child]
@@ -168,10 +168,9 @@ def inverted_index(
 def _inverted_postorder(dag: Dag) -> dict[int, set[int]]:
     """Fold word sets up to the root's children, then cross with segments."""
     word_sets: dict[int, set[int]] = {}
-    for rid in reversed(dag.topo):
+    for rid, node in reversed(dag.nodes.items()):
         if rid == dag.root_id:
             continue
-        node = dag.nodes[rid]
         merged = set(node.term_counts)
         for child in node.child_counts:
             merged |= word_sets[child]
@@ -206,9 +205,9 @@ def _inverted_preorder(dag: Dag, kind: str) -> dict[int, set[int]]:
             else:
                 file_sets[sym].set(file_id)
 
-    # dag.topo is root first, then parents before children: every set is
+    # dag.nodes is root first, then parents before children: every set is
     # complete before it is pushed on
-    for rid in dag.topo[1:]:
+    for rid in islice(nodes, 1, None):
         fs = file_sets[rid]
         for child in nodes[rid].child_counts:
             file_sets[child].update(fs)
@@ -279,13 +278,13 @@ def _push_down(
 
     Frequencies are pushed down, parents first, only through the rules the
     segment reaches; rules with nothing to count in their expansion are
-    skipped, so no loop runs over all of `dag.topo` per file. The seed
+    skipped, so no loop runs over all of `dag.nodes` per file. The seed
     tables are added to in place and returned.
     """
     nodes = dag.nodes
     # rules with something to count in their expansion: (such children, own table)
     counted: dict[int, tuple[list[tuple[int, int]], dict]] = {}
-    for rid in reversed(dag.topo):
+    for rid in reversed(dag.nodes):
         if rid != dag.root_id:
             children = [
                 (child, mult)
@@ -476,7 +475,7 @@ def _push_gram_tables(
     n = dag.n_terminals
     edges: dict[int, list[str]] = {}
     crossing: dict[int, Counter] = {}
-    for rid in reversed(dag.topo):
+    for rid in reversed(dag.nodes):
         if rid != dag.root_id:
             edges[rid], crossing[rid] = _crossing_windows(
                 nodes[rid].elements, n, words, edges, l

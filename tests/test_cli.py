@@ -113,10 +113,7 @@ def fault_container(rules=VALID_RULES, token_counts=None):
     dictionary, encoded = encode_corpus(FAULT_FILES)
     table = encoded.file_table
     if token_counts is not None:
-        table = [
-            FileEntry(e.name, count, e.separator_code)
-            for e, count in zip(table, token_counts)
-        ]
+        table = [FileEntry(e.name, count) for e, count in zip(table, token_counts)]
     grammar = Grammar(dictionary.n_total, dictionary.word_count, rules)
     return write_container(dictionary, grammar, table, False)
 
@@ -133,19 +130,16 @@ def test_container_faults_exit_3(capsys, tmp_path):
     rules = [list(body) for body in grammar.rules]
     rules[0][-2:] = rules[0][-1], rules[0][-2]
     moved = Grammar(grammar.n_terminals, grammar.n_words, rules)
-    # file f1's token count, in the low-byte plane after the 32-byte header
+    # file f1's token count, in the low-byte plane after the 20-byte header;
+    # W is their sum, so only the grammar's expansion disagrees
     tokens = bytearray(blob)
-    tokens[16 + 32 + 1] += 1
-    # both separator codes set to 0, in the low-byte plane after the token counts
-    separators = bytearray(blob)
-    separators[16 + 32 + 8 : 16 + 32 + 10] = bytes(2)
+    tokens[16 + 20 + 1] += 1
     cases = {
         "name": (reseal(blob.replace(b"zz", b"\xff\xfe")), True),
-        "tokens": (reseal(bytes(tokens)), True),
+        "tokens": (reseal(bytes(tokens)), False),
         "word": (reseal(blob.replace(b"qq", b"\xff\xfe")), False),
         "root": (write_container(dictionary, moved, encoded.file_table, False), False),
         "feature-mismatch": (fault_container(token_counts=[5, 3, 2]), False),
-        "separators": (reseal(bytes(separators)), True),
     }
     for case, rules in FAULT_GRAMMARS.items():
         cases[case] = (fault_container(rules), False)

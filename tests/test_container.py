@@ -74,6 +74,16 @@ def test_unsupported_version():
         C.read_container(bytes(blob))
 
 
+# the version-3 encoding of one file "f0" holding "a b a b": its header
+# also stored N, W and a second V, and its file table the separator codes
+V3_EXAMPLE = bytes.fromhex(
+    "54444f43 03 00 5b9ed368" + "00" * 6
+    + "03000000 02000000 01000000 04000000 02000000 02000000 02000000 03000000"
+    + "04000000 02000000 6630 610a62"
+    + "0302" + "00" * 6 + "0404020001" + "00" * 15
+)
+
+
 def test_version_1_is_rejected():
     # the version-1 encoding of one file "f0" holding "a b a b"
     v1 = bytes.fromhex(
@@ -96,9 +106,30 @@ def test_version_2_is_rejected():
     for read in (C.read_container, C.read_header):
         with pytest.raises(C.UnsupportedVersionError, match="version 2"):
             read(v2)
-    # the same bytes with the current version byte are a valid container
-    current = C.read_container(v2[:4] + bytes([C.VERSION]) + v2[5:])
-    assert current[1].rules == [[4, 4, 2], [0, 1]]
+    # version 3 kept the version-2 layout
+    assert v2[:4] + b"\x03" + v2[5:] == V3_EXAMPLE
+
+
+def test_version_3_is_rejected(capsys, tmp_path):
+    from tadoc.cli import main
+
+    assert len(V3_EXAMPLE) == 89
+    for read in (C.read_header, C.read_container, C.load_container):
+        with pytest.raises(C.UnsupportedVersionError, match="version 3"):
+            read(V3_EXAMPLE)
+    path = tmp_path / "v3.tdoc"
+    path.write_bytes(V3_EXAMPLE)
+    restored = tmp_path / "restored"
+    for argv in (
+        ["features", str(path)],
+        ["analyze", str(path), "word-count"],
+        ["decompress", str(path), "--out", str(restored)],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "unsupported container version 3" in captured.err, argv
+    assert not restored.exists()
 
 
 def test_checksum_mismatch_is_rejected():
@@ -132,7 +163,7 @@ def test_writer_rejects_what_the_layout_cannot_hold():
     newline = Dictionary(["a\nb", *dictionary.words[1:]], dictionary.separator_count)
     with pytest.raises(C.ContainerError, match="dictionary word contains"):
         C.write_container(newline, grammar, table)
-    nul = [FileEntry("f\0", table[0].token_count, table[0].separator_code), table[1]]
+    nul = [FileEntry("f\0", table[0].token_count), table[1]]
     with pytest.raises(C.ContainerError, match="file name contains"):
         C.write_container(dictionary, grammar, nul)
 
@@ -141,7 +172,7 @@ def test_writer_rejects_what_the_layout_cannot_hold():
     wide = Grammar(grammar.n_terminals, grammar.n_words, rules)
     with pytest.raises(C.ContainerError, match="32 bits"):
         C.write_container(dictionary, wide, table)
-    wide_count = [FileEntry("f0", 2**32, table[0].separator_code), table[1]]
+    wide_count = [FileEntry("f0", 2**32), table[1]]
     with pytest.raises(C.ContainerError, match="32 bits"):
         C.write_container(dictionary, grammar, wide_count)
     # 2**32 - 1 still fits
@@ -268,14 +299,16 @@ def test_unreferenced_rule_is_rejected():
 def test_file_token_counts_must_sum_to_total():
     dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
     blob = bytearray(C.write_container(dictionary, grammar, encoded.file_table, False))
-    # the low-byte plane of the token counts follows the 32-byte header block
-    offset = C.PREAMBLE_SIZE + 32
+    # the low-byte plane of the token counts follows the 20-byte header block
+    offset = C.PREAMBLE_SIZE + 20
     assert list(blob[offset : offset + 2]) == [4, 2]
     blob[offset + 1] += 1
     bad = reseal(bytes(blob))
-    for read in (C.read_container, C.read_header):
-        with pytest.raises(C.FeatureMismatchError, match="file table sum 7"):
-            read(bad)
+    # W is the file table's sum, so the bytes read; the expansion disagrees
+    assert C.read_header(bad).total_tokens == 7
+    assert C.read_container(bad)[2].total_tokens == 7
+    with pytest.raises(C.FeatureMismatchError, match="token count 7 != recomputed 6"):
+        C.load_container(bad)
 
 
 def test_undefined_or_missing_rules_are_rejected():
@@ -356,49 +389,10 @@ def test_deflate_garbage():
 
 def test_feature_mismatch_is_detected():
     dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
-    table = [
-        FileEntry(e.name, e.token_count + 1, e.separator_code)
-        for e in encoded.file_table
-    ]
+    table = [FileEntry(e.name, e.token_count + 1) for e in encoded.file_table]
     blob = C.write_container(dictionary, grammar, table, False)
     with pytest.raises(C.FeatureMismatchError):
         C.load_container(blob)
-
-
-def with_separator_codes(blob: bytes, codes: list[int]) -> bytes:
-    """An undeflated container with the separator-code plane of its file
-    table replaced by `codes`, resealed."""
-    count = len(codes)
-    start = C.PREAMBLE_SIZE + C._HEADER.size + 4 * count  # after the token counts
-    patched = bytearray(blob)
-    patched[start : start + 4 * count] = C._plane(codes)
-    return reseal(bytes(patched))
-
-
-def test_separator_codes_must_follow_the_words_in_file_order():
-    dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
-    codes = [e.separator_code for e in encoded.file_table]
-    assert codes == [dictionary.word_count, dictionary.word_count + 1]
-    blob = C.write_container(dictionary, grammar, encoded.file_table, False)
-    assert with_separator_codes(blob, codes) == blob
-    for bad in ([0, 0], codes[::-1], [codes[0], codes[0]]):
-        patched = with_separator_codes(blob, bad)
-        for reader in (C.read_header, C.read_container, C.load_container):
-            with pytest.raises(C.ContainerError, match="separator codes"):
-                reader(patched)
-
-
-def test_writer_rejects_separator_codes_out_of_file_order():
-    dictionary, encoded, grammar = build([("f0", "a b a b"), ("f1", "c d")])
-    codes = [e.separator_code for e in encoded.file_table]
-    for bad in ([0, 0], codes[::-1], [codes[0], codes[0]], [codes[0], codes[1] + 1]):
-        table = [
-            FileEntry(e.name, e.token_count, code)
-            for e, code in zip(encoded.file_table, bad)
-        ]
-        for deflate in (True, False):
-            with pytest.raises(C.ContainerError, match="separator codes"):
-                C.write_container(dictionary, grammar, table, deflate)
 
 
 def test_read_header_matches_full_read():

@@ -6,6 +6,7 @@ from conftest import random_corpus
 from tadoc.corpus import (
     Dictionary,
     EmptyCorpusError,
+    FileEntry,
     MalformedStreamError,
     decode_stream,
     encode_corpus,
@@ -20,8 +21,7 @@ def test_encode_repeated_sentence_corpus():
     assert dictionary.separator_count == 1
     assert dictionary.n_total == 5
     assert encoded.symbols == [0, 1, 2, 0, 1, 3, 0, 1, 2, 0, 1, 3, 0, 1, 0, 4]
-    assert encoded.file_table[0].token_count == 15
-    assert encoded.file_table[0].separator_code == 4
+    assert encoded.file_table == [FileEntry("f0", 15)]
 
 
 def test_encode_single_token():
@@ -33,7 +33,8 @@ def test_encode_single_token():
 def test_encode_two_files_first_appearance_coding():
     dictionary, encoded = encode_corpus([("f0", "a b"), ("f1", "a c")])
     assert dictionary.words == ["a", "b", "c"]
-    assert [e.separator_code for e in encoded.file_table] == [3, 4]
+    assert encoded.file_table == [FileEntry("f0", 2), FileEntry("f1", 2)]
+    # file i's separator code is word_count + i
     assert encoded.symbols == [0, 1, 3, 0, 2, 4]
 
 
@@ -94,8 +95,8 @@ def test_round_trip_and_conservation():
             tokenize(text) for _, text in files
         ]
         # every separator appears exactly once
-        for entry in encoded.file_table:
-            assert encoded.symbols.count(entry.separator_code) == 1
+        for code in range(dictionary.word_count, dictionary.n_total):
+            assert encoded.symbols.count(code) == 1
         assert encoded.total_tokens == len(encoded.symbols) - len(files)
 
 

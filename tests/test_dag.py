@@ -73,6 +73,18 @@ def test_separators_outside_the_root_are_rejected():
             load_merge_graph(grammar)
 
 
+def test_negative_symbols_are_rejected():
+    # -1 would otherwise be counted as a word and read as the last one
+    with pytest.raises(GrammarError, match="negative symbol -1 in rule 4"):
+        load_merge_graph(Grammar(4, 3, [[-1, 0, 3]]))
+    n_words, n = 2, 3  # separator code 2
+    # in the root and in a rule, short bodies symbol by symbol, long by Counter
+    for body in ([0, -2], [0, 1] * 9 + [-2]):
+        for rules, rid in (([body + [2]], n), ([[n + 1, 2], body], n + 1)):
+            with pytest.raises(GrammarError, match=f"negative symbol -2 in rule {rid}"):
+                load_merge_graph(Grammar(n, n_words, rules))
+
+
 def test_child_counts_match_brute_force_parent_scan():
     rng = random.Random(31)
     for _ in range(40):

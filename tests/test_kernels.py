@@ -35,7 +35,7 @@ def test_single_token_corpus():
 def test_chain_frequencies_are_one():
     # one file, no repetition: the root is the only rule
     dictionary, _, dag = build_dag([("f0", "p q r s t")])
-    freq, order = node_frequencies(dag), dag.topo
+    freq, order = node_frequencies(dag), list(dag.nodes)
     assert all(f == 1 for f in freq.values())
     assert order == [dag.root_id]
 
@@ -44,7 +44,7 @@ def test_work_queue_gate():
     rng = random.Random(123)
     for _ in range(30):
         dictionary, _, dag = build_dag(random_corpus(rng))
-        freq, order = node_frequencies(dag), dag.topo
+        freq, order = node_frequencies(dag), list(dag.nodes)
         # every node listed exactly once
         assert sorted(order) == sorted(dag.nodes)
         # a node is listed only after every parent: parents first

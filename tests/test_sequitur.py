@@ -84,8 +84,8 @@ def test_separators_stay_in_root():
             encoded.symbols, dictionary.n_total, dictionary.word_count
         )
         root = grammar.body(grammar.root_id)
-        for entry in encoded.file_table:
-            assert root.count(entry.separator_code) == 1
+        for code in range(dictionary.word_count, dictionary.n_total):
+            assert root.count(code) == 1
         for body in grammar.rules[1:]:
             assert not any(grammar.is_separator(sym) for sym in body)
 
