@@ -98,9 +98,13 @@ def _decode(path: str, raw: bytes) -> str:
         raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as handle:
-        return _decode(path, handle.read())
+        return handle.read()
+
+
+def _read_text(path: str) -> str:
+    return _decode(path, _read_bytes(path))
 
 
 def _read_files(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -110,10 +114,8 @@ def _read_files(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
 def _read_gz_files(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
     files = []
     for name, path in pairs:
-        with open(path, "rb") as handle:
-            data = handle.read()
         try:
-            raw = gzip_mod.decompress(data)
+            raw = gzip_mod.decompress(_read_bytes(path))
         except (EOFError, gzip_mod.BadGzipFile, zlib.error) as exc:
             raise CorpusError(f"{path} is not a whole gzip file: {exc}") from exc
         display = name[:-3] if name.endswith(".gz") else name
@@ -133,7 +135,7 @@ def serialize_tsv(task: str, result, names: list[str]):
             yield f"{word}\t{count}"
     elif task == "inverted_index":
         for word, ids in result.items():
-            yield f"{word}\t" + ",".join(names[i] for i in ids)
+            yield f"{word}\t" + ",".join(map(names.__getitem__, ids))
     elif task == "term_vector":
         for file_id, ranked in enumerate(result):
             for word, count in ranked:
@@ -255,8 +257,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    with open(args.container, "rb") as handle:
-        dictionary, dag, header = load_container(handle.read())
+    dictionary, dag, header = load_container(_read_bytes(args.container))
     names = [entry.name for entry in header.file_table]
     for name in names:
         if os.path.isabs(name) or ".." in name.split(os.sep):
@@ -306,9 +307,7 @@ def _analyze(args) -> int:
 
     if len(args.inputs) != 1:
         raise CorpusError("engine cd expects exactly one container file")
-    with open(args.inputs[0], "rb") as handle:
-        data = handle.read()
-    dictionary, dag, header = load_container(data)
+    dictionary, dag, header = load_container(_read_bytes(args.inputs[0]))
     names = [entry.name for entry in header.file_table]
     variant = _auto_variant(header)
     result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
@@ -317,8 +316,7 @@ def _analyze(args) -> int:
 
 
 def cmd_features(args) -> int:
-    with open(args.container, "rb") as handle:
-        header = read_header(handle.read())
+    header = read_header(_read_bytes(args.container))
     rows = [
         ("files", header.file_count),
         ("tokens", header.total_tokens),
@@ -346,7 +344,7 @@ def _timed(fn):
 
 
 def _bench_cd(task, container_path, variant, l, top_k):
-    (data, io_s) = _timed(lambda: open(container_path, "rb").read())
+    data, io_s = _timed(lambda: _read_bytes(container_path))
 
     (dictionary, dag, _), init_s = _timed(lambda: load_container(data))
     _, compute_s = _timed(lambda: run_task(task, dag, dictionary, variant, l, top_k))
@@ -354,10 +352,7 @@ def _bench_cd(task, container_path, variant, l, top_k):
 
 
 def _bench_raw(task, pairs, l, top_k, gz: bool):
-    def read_bytes():
-        return [(name, open(path, "rb").read()) for name, path in pairs]
-
-    blobs, io_s = _timed(read_bytes)
+    blobs, io_s = _timed(lambda: [(name, _read_bytes(path)) for name, path in pairs])
 
     def init():
         lists = []
@@ -581,7 +576,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("features", help="print corpus features from a container")
+    p = sub.add_parser(
+        "features", help="print corpus features from a container",
+        description="Print corpus features from a container's header and file "
+        "table. Only those are checked: a token count that disagrees with the "
+        "grammar is seen only by a grammar load (analyze checks the total, "
+        "decompress each file).",
+    )
     p.add_argument("container")
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_features)

@@ -1,36 +1,40 @@
 """Analytics kernels that run directly on the grammar DAG.
 
-Whole-corpus word counts and the inverted index fold or push the
-merged-edge tables over `dag.nodes`. Grammars number their rules parents
-first, and `dag.nodes` holds them in rule-id order, so it lists every
-parent before its children: a node's frequency or file set is complete
-when its turn comes, and the per-file push-down below orders its heap by
-rule id.
+Whole-corpus word counts fold or push the merged-edge tables over
+`dag.nodes`. Grammars number their rules parents first, and `dag.nodes`
+holds them in rule-id order, so it lists every parent before its children:
+a node's frequency or file set is complete when its turn comes, and the
+per-file push-down below orders its heap by rule id.
 
-Per-file tasks choose a path per file (`_by_path`), reading only the
-grammar. A short file, whose root segment has at most 256 elements that
-each expand to at most 256 words, is counted over its expanded run with one
-C-level `Counter` call. Its rule expansions come from `sequitur.expansions`,
-the memo that `sequitur.expand` restores the text with, built only when
-some segment is that short. Files of
-40-120 tokens rarely repeat a rule inside themselves, so the grammar saves
-them nothing. Every other file takes the push-down (`_push_down`): its
-table is what its root segment holds directly plus each reached rule's own
-table times the rule's frequency in the segment. For word counts a rule's
-own table is its terminal counts. For l-word windows one bottom-up pass
-first keeps each rule's first and last l-1 words (its edge summary) and
-counts the windows that cross the boundaries between its elements (its
-crossing table). Window tables are keyed by gram name, the words joined
-with "_", from the first window on: a `str` caches its hash, and grams that
-join alike (words may contain "_") are summed where they are counted, as
-the oracle sums them.
+Per-file tasks, the inverted index among them, choose a path per file,
+reading only the grammar. A short file (`_short_runs`), whose root segment
+has at most 256 elements that each expand to at most 256 words, is read as
+its expanded run: counted with one C-level `Counter` call, or, for the
+inverted index, taken as a `set`. Its rule expansions come from
+`sequitur.expansions`, the memo that `sequitur.expand` restores the text
+with, built only when some segment is that short. Files of 40-120 tokens
+rarely repeat a rule inside themselves, so the grammar saves them nothing.
+Every other file goes through the grammar, over only the rules that such
+files reach (`_reached`). For the inverted index that is the traversal the
+variant names: word sets folded up (postorder) or file sets pushed down
+(preorder). For the other tasks it is the push-down (`_push_down`): a
+file's table is what its root segment holds directly plus each reached
+rule's own table times the rule's frequency in the segment. For word
+counts a rule's own table is its terminal counts. For l-word windows one
+bottom-up pass first keeps each rule's first and last l-1 words (its edge
+summary) and counts the windows that cross the boundaries between its
+elements (its crossing table). Window tables are keyed by gram name, the
+words joined with "_", from the first window on: a `str` caches its hash,
+and grams that join alike (words may contain "_") are summed where they
+are counted, as the oracle sums them.
 
 `finish` turns the per-file tables (word-code counts, or window counts by
 gram name for the order-sensitive tasks) into a task's result; the per-file
 kernels and `run_parallel`, which counts plain code streams with the same
 run counters as short files, share it. The CLI and `tadoc bench` share
 `run_task` (task to kernel) and `select_variant`, which picks the
-inverted-index traversal from the corpus's file and token counts.
+inverted-index traversal for the files that are not short from the
+corpus's file and token counts.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ def word_count_postorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
                 for code, count in child_table.items():
                     table[code] += count * mult
         tables[rid] = table
-    return _decode_counts(tables[dag.root_id], dictionary)
+    return _by_word(tables[dag.root_id], dictionary.words)
 
 
 def word_count_preorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
@@ -133,12 +137,12 @@ def word_count_preorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
         elif f:
             for code, count in node.term_counts.items():
                 counts[code] += count * f
-    return _decode_counts(counts, dictionary)
+    return _by_word(counts, dictionary.words)
 
 
-def _decode_counts(counts: Counter, dictionary: Dictionary) -> dict[str, int]:
-    words = dictionary.words
-    return {words[code]: counts[code] for code in sorted(counts, key=lambda c: words[c])}
+def _by_word(table: dict, words: list[str]) -> dict:
+    """`table` keyed by word instead of word code, in word order."""
+    return {words[code]: table[code] for code in sorted(table, key=words.__getitem__)}
 
 
 def sort_words(dag: Dag, dictionary: Dictionary) -> list[tuple[str, int]]:
@@ -152,34 +156,62 @@ def sort_words(dag: Dag, dictionary: Dictionary) -> list[tuple[str, int]]:
 def inverted_index(
     dag: Dag, dictionary: Dictionary, variant: str = "postorder"
 ) -> dict[str, list[int]]:
+    """Per word: the ids of the files holding it, ascending.
+
+    A short file (`_short_runs`) is indexed as the set of its expanded run;
+    only the other files go through the `variant` traversal.
+    """
     if variant not in INDEX_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "postorder":
-        index = _inverted_postorder(dag)
-    else:
-        index = _inverted_preorder(dag, variant.removeprefix("preorder_"))
-    words = dictionary.words
-    return {
-        words[code]: sorted(index[code])
-        for code in sorted(index, key=lambda c: words[c])
-    }
+    runs = _short_runs(dag)
+    postings = _postings(zip(runs, map(set, runs.values())))
+    rest = _other_files(dag, runs)
+    if rest:
+        if variant == "postorder":
+            index = _inverted_postorder(dag, rest)
+        else:
+            index = _inverted_preorder(dag, rest, variant.removeprefix("preorder_"))
+        if postings:
+            for code, files in index.items():
+                short = postings.get(code)
+                postings[code] = sorted([*short, *files]) if short else sorted(files)
+        else:
+            # one comprehension: the merge loop costs this kernel about 3% on repetitive
+            postings = {code: sorted(files) for code, files in index.items()}
+    return _by_word(postings, dictionary.words)
 
 
-def _inverted_postorder(dag: Dag) -> dict[int, set[int]]:
-    """Fold word sets up to the root's children, then cross with segments."""
+def _postings(tables: Iterable[tuple[int, Iterable[int]]]) -> dict[int, list[int]]:
+    """By word code, the file ids of the (file id, table) pairs whose table
+    holds it, in the order the pairs come."""
+    postings: dict[int, list[int]] = {}
+    for file_id, table in tables:
+        for code in table:
+            files = postings.get(code)
+            if files is None:
+                postings[code] = [file_id]
+            else:
+                files.append(file_id)
+    return postings
+
+
+def _inverted_postorder(
+    dag: Dag, files: list[tuple[int, tuple[int, int]]]
+) -> dict[int, set[int]]:
+    """Fold word sets up the rules that the (file id, root segment) pairs
+    reach, then cross them with the segments."""
+    nodes = dag.nodes
     word_sets: dict[int, set[int]] = {}
-    for rid, node in reversed(dag.nodes.items()):
-        if rid == dag.root_id:
-            continue
-        merged = set(node.term_counts)
-        for child in node.child_counts:
+    for rid in reversed(_reached(dag, [segment for _, segment in files])):
+        merged = set(nodes[rid].term_counts)
+        for child in nodes[rid].child_counts:
             merged |= word_sets[child]
         word_sets[rid] = merged
 
-    root = dag.nodes[dag.root_id]
+    root = nodes[dag.root_id].elements
     index: dict[int, set[int]] = {}
-    for file_id, (start, end) in enumerate(dag.segments):
-        for sym in root.elements[start:end]:
+    for file_id, (start, end) in files:
+        for sym in root[start:end]:
             if sym < dag.n_terminals:
                 index.setdefault(sym, set()).add(file_id)
             else:
@@ -188,26 +220,26 @@ def _inverted_postorder(dag: Dag) -> dict[int, set[int]]:
     return index
 
 
-def _inverted_preorder(dag: Dag, kind: str) -> dict[int, set[int]]:
-    """Seed file sets from the root segments and push them down the DAG."""
+def _inverted_preorder(
+    dag: Dag, files: list[tuple[int, tuple[int, int]]], kind: str
+) -> dict[int, set[int]]:
+    """Seed file sets from the (file id, root segment) pairs and push them
+    down the rules they reach."""
     nodes = dag.nodes
-    universe = dag.file_count
-    file_sets = {
-        rid: make_file_set(kind, universe) for rid in nodes if rid != dag.root_id
-    }
+    rules = _reached(dag, [segment for _, segment in files])
+    file_sets = {rid: make_file_set(kind, dag.file_count) for rid in rules}
     index: dict[int, set[int]] = {}
 
-    root = nodes[dag.root_id]
-    for file_id, (start, end) in enumerate(dag.segments):
-        for sym in root.elements[start:end]:
+    root = nodes[dag.root_id].elements
+    for file_id, (start, end) in files:
+        for sym in root[start:end]:
             if sym < dag.n_terminals:
                 index.setdefault(sym, set()).add(file_id)
             else:
                 file_sets[sym].set(file_id)
 
-    # dag.nodes is root first, then parents before children: every set is
-    # complete before it is pushed on
-    for rid in islice(nodes, 1, None):
+    # parents before children: every set is complete before it is pushed on
+    for rid in rules:
         fs = file_sets[rid]
         for child in nodes[rid].child_counts:
             file_sets[child].update(fs)
@@ -230,10 +262,37 @@ def _by_path(
     in file order."""
     runs = _short_runs(dag)
     tables = dict(zip(runs, count_runs(runs.values())))
-    rest = [file_id for file_id in range(dag.file_count) if file_id not in tables]
+    rest = _other_files(dag, runs)
     if rest:
-        tables.update(zip(rest, push_down([dag.segments[i] for i in rest])))
+        file_ids, segments = zip(*rest)
+        tables.update(zip(file_ids, push_down(list(segments))))
     return [tables[file_id] for file_id in range(dag.file_count)]
+
+
+def _other_files(
+    dag: Dag, runs: dict[int, Iterator[int]]
+) -> list[tuple[int, tuple[int, int]]]:
+    """(file id, root segment) of each file without a short run in `runs`."""
+    return [pair for pair in enumerate(dag.segments) if pair[0] not in runs]
+
+
+def _reached(dag: Dag, segments: list[tuple[int, int]]) -> list[int]:
+    """Ids of the rules that the root segments reach, ascending: parents
+    first. `dag.load_merge_graph` checks that the root reaches every rule,
+    so the segments of all files reach them all."""
+    nodes = dag.nodes
+    if len(segments) == dag.file_count:
+        return list(islice(nodes, 1, None))
+    n = dag.n_terminals
+    root = nodes[dag.root_id].elements
+    seen = {sym for start, end in segments for sym in root[start:end] if sym >= n}
+    stack = list(seen)
+    while stack:
+        for child in nodes[stack.pop()].child_counts:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return sorted(seen)
 
 
 # A file is short when its root segment has at most _SHORT_SEGMENT elements
@@ -276,23 +335,23 @@ def _push_down(
     """Per root segment: its seed table plus each reached rule's `own` table
     times the rule's frequency in the segment.
 
-    Frequencies are pushed down, parents first, only through the rules the
-    segment reaches; rules with nothing to count in their expansion are
-    skipped, so no loop runs over all of `dag.nodes` per file. The seed
-    tables are added to in place and returned.
+    `own` holds a table for each rule the segments reach (`_reached`),
+    children first. Frequencies are pushed down, parents first, only
+    through the rules a segment reaches; rules with nothing to count in
+    their expansion are skipped, so no loop runs over all of `dag.nodes`
+    per file. The seed tables are added to in place and returned.
     """
     nodes = dag.nodes
     # rules with something to count in their expansion: (such children, own table)
     counted: dict[int, tuple[list[tuple[int, int]], dict]] = {}
-    for rid in reversed(dag.nodes):
-        if rid != dag.root_id:
-            children = [
-                (child, mult)
-                for child, mult in nodes[rid].child_counts.items()
-                if child in counted
-            ]
-            if own[rid] or children:
-                counted[rid] = (children, own[rid])
+    for rid, rule_table in own.items():
+        children = [
+            (child, mult)
+            for child, mult in nodes[rid].child_counts.items()
+            if child in counted
+        ]
+        if rule_table or children:
+            counted[rid] = (children, rule_table)
 
     root = nodes[dag.root_id].elements
     for (start, end), table in zip(segments, seeds):
@@ -334,11 +393,12 @@ def _push_code_counts(dag: Dag, segments: list[tuple[int, int]]) -> list[Counter
     """Per segment: its own words plus each reached rule's terminal counts
     times its frequency in the segment."""
     n = dag.n_terminals
-    root = dag.nodes[dag.root_id].elements
+    nodes = dag.nodes
+    root = nodes[dag.root_id].elements
     seeds = [
         Counter(sym for sym in root[start:end] if sym < n) for start, end in segments
     ]
-    own = {rid: node.term_counts for rid, node in dag.nodes.items()}
+    own = {rid: nodes[rid].term_counts for rid in reversed(_reached(dag, segments))}
     return _push_down(dag, own, segments, seeds)
 
 
@@ -379,17 +439,13 @@ def finish(
         for file_id, table in enumerate(tables):
             for code, count in table.items():
                 scores.setdefault(code, {})[file_id] = count * idf[code]
-        return {words[c]: scores[c] for c in sorted(scores, key=words.__getitem__)}
+        return _by_word(scores, words)
     if task == "inverted_index":
-        files: dict[int, list[int]] = {}
-        for file_id, table in enumerate(tables):
-            for code in table:
-                files.setdefault(code, []).append(file_id)
-        return {words[c]: files[c] for c in sorted(files, key=words.__getitem__)}
+        return _by_word(_postings(enumerate(tables)), words)
     totals: Counter = Counter()
     for table in tables:
         totals.update(table)
-    counts = _decode_counts(totals, dictionary)
+    counts = _by_word(totals, words)
     return list(counts.items()) if task == "sort" else counts
 
 
@@ -465,21 +521,21 @@ def _push_gram_tables(
 ) -> list[Counter]:
     """Per segment: the l-word windows, by gram name.
 
-    One bottom-up pass gives each rule its edge summary (its words when
-    there are at most 2(l-1), else its first and last l-1) and its crossing
-    table. A segment's table is its own crossing windows plus each reached
-    rule's crossing table times the rule's frequency in the segment. Grams
-    with the same name are summed as they are counted.
+    One bottom-up pass gives each rule that the segments reach its edge
+    summary (its words when there are at most 2(l-1), else its first and
+    last l-1) and its crossing table. A segment's table is its own crossing
+    windows plus each reached rule's crossing table times the rule's
+    frequency in the segment. Grams with the same name are summed as they
+    are counted.
     """
     nodes = dag.nodes
     n = dag.n_terminals
     edges: dict[int, list[str]] = {}
     crossing: dict[int, Counter] = {}
-    for rid in reversed(dag.nodes):
-        if rid != dag.root_id:
-            edges[rid], crossing[rid] = _crossing_windows(
-                nodes[rid].elements, n, words, edges, l
-            )
+    for rid in reversed(_reached(dag, segments)):
+        edges[rid], crossing[rid] = _crossing_windows(
+            nodes[rid].elements, n, words, edges, l
+        )
     root = nodes[dag.root_id].elements
     seeds = [
         _crossing_windows(root[start:end], n, words, edges, l)[1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import zlib
 
+from tadoc import kernels
 from tadoc.corpus import encode_corpus
 from tadoc.dag import coarsen, load_merge_graph
 from tadoc.sequitur import infer_grammar
@@ -84,6 +85,17 @@ def build_dag(files, threshold=0):
     if threshold:
         dag = coarsen(dag, threshold)
     return dictionary, encoded, dag
+
+
+def traversal_indexes(dag, dictionary):
+    """The inverted index of every file through each variant's traversal,
+    as `kernels.inverted_index` would give it if no file were short."""
+    files = list(enumerate(dag.segments))
+    indexes = [kernels._inverted_postorder(dag, files)]
+    for kind in ("set", "bitmap", "twolevel"):
+        indexes.append(kernels._inverted_preorder(dag, files, kind))
+    sorted_files = [{code: sorted(ids) for code, ids in index.items()} for index in indexes]
+    return [kernels._by_word(index, dictionary.words) for index in sorted_files]
 
 
 def sentence_pool(

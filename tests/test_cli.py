@@ -292,6 +292,15 @@ def test_features_rows_come_from_the_header(capsys, ref_container):
     )
 
 
+def test_features_help_says_only_the_header_is_checked(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["features", "--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "header and file table" in text
+    assert "seen only by a grammar load" in text
+
+
 def test_zero_file_container_exits_3(capsys, tmp_path):
     from conftest import reseal
     from tadoc.container import MAGIC, VERSION, build_payload

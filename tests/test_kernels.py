@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import build_dag, random_corpus
+from conftest import build_dag, random_corpus, traversal_indexes
 from tadoc import kernels, oracle
 from tadoc.dag import node_frequencies
 
@@ -89,8 +89,9 @@ def test_shared_rule_collects_union_of_files():
         ("f2", f"{phrase} {phrase} gamma"),
     ]
     dictionary, _, dag = build_dag(files)
-    for variant in kernels.INDEX_VARIANTS:
-        index = kernels.inverted_index(dag, dictionary, variant)
+    indexes = [kernels.inverted_index(dag, dictionary, v) for v in kernels.INDEX_VARIANTS]
+    # every file is short, so the traversals are also run on all of them
+    for index in indexes + traversal_indexes(dag, dictionary):
         for word in ("lorem", "ipsum", "dolor", "sit"):
             assert index[word] == [0, 1, 2]
         assert index["alpha"] == [0]

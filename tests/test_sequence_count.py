@@ -6,8 +6,8 @@ which slides the window over the plain token lists, for l = 2..8: tables
 and their order must be equal. The word tasks (inverted index, term vector,
 tfidf) and both word count kernels are checked on the same corpora. Every
 file of the small corpora is short, so each corpus also goes through both
-per-file paths called directly; mixed corpora check which file takes which
-path.
+per-file paths, and each inverted-index traversal, called directly; mixed
+corpora check which file takes which path.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_dag
+from conftest import build_dag, traversal_indexes
 from tadoc import kernels, oracle
+from tadoc.cli import main
 from tadoc.corpus import Dictionary, encode_corpus, tokenize
 from tadoc.dag import load_merge_graph
 from tadoc.scheduler import run_parallel
@@ -80,6 +81,7 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths
             for tables in both_path_tables(dag, dictionary.words):
                 for task in truth:
                     got[task].append(kernels.finish(task, tables, dictionary))
+            got["inverted_index"] += traversal_indexes(dag, dictionary)
         for task, results in got.items():
             for result in results:
                 assert _items(result) == _items(truth[task]), (threshold, task)
@@ -215,21 +217,89 @@ def _fresh_text(seed, count):
     return " ".join(f"v{rng.randrange(5000)}" for _ in range(count))
 
 
-def test_mixed_corpus_takes_both_paths():
-    # short files, a file over the segment limit, an empty file, a file
-    # shorter than the window, and words with "_"
-    files = [
+def _mixed_corpus():
+    """Short files, a file over the segment limit, an empty file, a file
+    shorter than the window, words with "_", and a file of two occurrences
+    of a rule over the cap."""
+    long_text = _fresh_text(2, EXPANSION_CAP + 44)
+    return [
         ("f0", "a b c a b c x_y"),
         ("f1", _fresh_text(1, 3 * kernels._SHORT_SEGMENT) + " a b c x_y"),
         ("f2", ""),
         ("f3", "a_b"),
         ("f4", "a b_c x a_b c x"),
         ("f5", "x_y a b c " * 4),
+        ("f6", f"{long_text} {long_text}"),
     ]
-    for threshold in (0, 5, 100):
+
+
+def test_mixed_corpus_takes_both_paths():
+    files = _mixed_corpus()
+    for threshold in (0, 4, 5, 100):
         _, _, dag = build_dag(files, threshold)
         assert list(kernels._short_runs(dag)) == [0, 2, 3, 4, 5], threshold
+        start, end = dag.segments[6]
+        assert end - start <= kernels._SHORT_SEGMENT, threshold
     assert_exact(files, both_paths=False)
+
+
+def test_mixed_corpus_inverted_index(capsys, tmp_path):
+    files = _mixed_corpus()
+    expected = oracle.inverted_index(files)
+    for threshold in (0, 4, 100):
+        dictionary, _, dag = build_dag(files, threshold)
+        for variant in kernels.INDEX_VARIANTS:
+            got = kernels.inverted_index(dag, dictionary, variant)
+            assert _items(got) == _items(expected), (threshold, variant)
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in files:
+        (corpus / name).write_text(text)
+    container = tmp_path / "mixed.tdoc"
+    assert main(["compress", str(corpus), "--out", str(container)]) == 0
+    outputs = []
+    for argv in (
+        [str(container), "inverted-index"],
+        [str(corpus), "inverted-index", "--engine", "baseline"],
+    ):
+        capsys.readouterr()
+        assert main(["analyze", *argv]) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]
+
+
+def test_one_long_file_pays_only_for_the_rules_it_reaches(monkeypatch):
+    # the short files share phrases among themselves that the long file,
+    # fresh text and a phrase of its own repeated into nested rules, never
+    # holds
+    files = [(f"s{i}", "p q r s t u p q r s t u " * (1 + i % 3)) for i in range(8)]
+    files.append(("long", _fresh_text(3, 600) + " k l m n" * 64))
+    dictionary, _, dag = build_dag(files)
+    assert list(kernels._short_runs(dag)) == list(range(8))
+    start, end = dag.segments[8]
+    root = dag.nodes[dag.root_id].elements
+    reached = {sym for sym in root[start:end] if dag.is_rule(sym)}
+    stack = list(reached)
+    while stack:
+        for child in dag.nodes[stack.pop()].child_counts:
+            if child not in reached:
+                reached.add(child)
+                stack.append(child)
+    assert 0 < len(reached) < len(dag.nodes) - 1
+
+    calls = []
+    crossing_windows = kernels._crossing_windows
+
+    def spy(elements, *args):
+        calls.append(elements)
+        return crossing_windows(elements, *args)
+
+    monkeypatch.setattr(kernels, "_crossing_windows", spy)
+    got = kernels.sequence_count(dag, dictionary, 3)
+    # one call per reached rule, and one for the long file's segment
+    assert len(calls) == len(reached) + 1
+    assert _items(got) == _items(oracle.sequence_count(files, 3))
 
 
 def test_rule_over_the_cap_is_never_expanded(monkeypatch):
