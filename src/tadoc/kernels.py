@@ -430,15 +430,18 @@ def finish(
         return vectors
     if task == "tfidf":
         # the document frequency of a word is the number of files counting it
-        df: Counter = Counter()
-        for table in tables:
-            df.update(table.keys())
+        df = Counter(chain.from_iterable(tables))
         file_count = len(tables)
         idf = {code: math.log(file_count / files) for code, files in df.items()}
         scores: dict[int, dict[int, float]] = {}
         for file_id, table in enumerate(tables):
             for code, count in table.items():
-                scores.setdefault(code, {})[file_id] = count * idf[code]
+                weight = idf[code]
+                by_file = scores.get(code)
+                if by_file is None:
+                    by_file = scores[code] = {}
+                # 1 * weight is weight exactly
+                by_file[file_id] = weight if count == 1 else count * weight
         return _by_word(scores, words)
     if task == "inverted_index":
         return _by_word(_postings(enumerate(tables)), words)
@@ -567,21 +570,29 @@ def ranked_inverted_index(
 
 def rank_gram_files(tables: list[Counter]) -> dict[str, list[tuple[int, int]]]:
     """Per gram: (file, count) by count descending, ties by file, from the
-    name-keyed tables of `_gram_tables`, where same-name grams are summed."""
+    name-keyed tables of `_gram_tables`, where same-name grams are summed.
+
+    Postings share one (file, count) tuple per distinct count in a file:
+    most grams occur once in their file, so a file's postings need only a
+    few tuples. Only the lists that gain a second file are sorted.
+    """
     by_gram: dict[str, list[tuple[int, int]]] = {}
+    shared: list[list[tuple[int, int]]] = []
     for file_id, table in enumerate(tables):
+        pairs: dict[int, tuple[int, int]] = {}
         for gram, count in table.items():
+            pair = pairs.get(count)
+            if pair is None:
+                pair = pairs[count] = (file_id, count)
             postings = by_gram.get(gram)
             if postings is None:
-                by_gram[gram] = [(file_id, count)]
+                by_gram[gram] = [pair]
             else:
-                postings.append((file_id, count))
-    ranked = {}
-    for gram in sorted(by_gram):
-        postings = by_gram[gram]
-        if len(postings) > 1:
-            # postings are in file order and the sort is stable, also
-            # reversed: ties stay ordered by file
-            postings.sort(key=itemgetter(1), reverse=True)
-        ranked[gram] = postings
-    return ranked
+                if len(postings) == 1:
+                    shared.append(postings)
+                postings.append(pair)
+    for postings in shared:
+        # postings are in file order and the sort is stable, also reversed:
+        # ties stay ordered by file
+        postings.sort(key=itemgetter(1), reverse=True)
+    return {gram: by_gram[gram] for gram in sorted(by_gram)}

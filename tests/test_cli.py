@@ -2,9 +2,14 @@ import gc
 import gzip
 import json
 import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import random_corpus
 from tadoc.cli import TASK_NAMES, main
 from tadoc.corpus import tokenize
 from tadoc.kernels import select_variant
@@ -430,17 +435,30 @@ def test_baseline_engine_matches_cd(capsys, corpus_dir, tmp_path):
     assert cd_out == base_out
 
 
-def test_tsv_output_over_several_chunks_matches_baseline(capsys, tmp_path):
-    from tadoc import cli
-
+@pytest.fixture
+def wide(tmp_path):
+    """(directory, container) of two files sharing 1,500 words: more output
+    rows than one emit chunk, and postings in both files."""
     directory = tmp_path / "wide"
     directory.mkdir()
     (directory / "f0.txt").write_text(" ".join([f"w{i}" for i in range(3000)] * 2))
     (directory / "f1.txt").write_text(" ".join(f"w{i}" for i in range(1500, 4500)))
     container = tmp_path / "wide.tdoc"
     assert main(["compress", str(directory), "--out", str(container)]) == 0
+    return directory, container
+
+
+def test_tsv_output_over_several_chunks_matches_baseline(capsys, wide):
+    from tadoc import cli
+
+    directory, container = wide
     capsys.readouterr()
-    for task, rows in (("term-vector", 6000), ("sequence-count", 5998)):
+    for task, rows in (
+        ("term-vector", 6000),
+        ("sequence-count", 5998),
+        ("ranked-inverted-index", 5998),
+        ("tfidf", 6000),
+    ):
         code, cd_out, _ = run(capsys, ["analyze", str(container), task])
         assert code == 0
         lines = cd_out.split("\n")
@@ -450,6 +468,48 @@ def test_tsv_output_over_several_chunks_matches_baseline(capsys, tmp_path):
             capsys, ["analyze", str(directory), task, "--engine", "baseline"]
         )
         assert cd_out == base_out
+
+
+def test_json_output_matches_baseline(capsys, wide):
+    directory, container = wide
+    capsys.readouterr()
+    for task in TASK_NAMES:
+        code, cd_out, _ = run(capsys, ["analyze", str(container), task, "--output", "json"])
+        assert code == 0
+        _, base_out, _ = run(
+            capsys,
+            ["analyze", str(directory), task, "--engine", "baseline", "--output", "json"],
+        )
+        assert cd_out == base_out, task
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Containers and every task's output are the same bytes under two
+    string-hash seeds, so no output follows set or str-hash order."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in random_corpus(random.Random(19), max_files=6, max_sentences=30):
+        (corpus / f"{name}.txt").write_text(text)
+    tadoc = [sys.executable, "-m", "tadoc.cli"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        container = tmp_path / f"seed{seed}.tdoc"
+        subprocess.run(
+            [*tadoc, "compress", str(corpus), "--out", str(container)],
+            env=env, check=True, capture_output=True, timeout=60,
+        )
+        jobs = [
+            subprocess.run(
+                [*tadoc, "analyze", str(container), task],
+                env=env, check=True, capture_output=True, timeout=60,
+            ).stdout
+            for task in TASK_NAMES
+        ]
+        outputs.append([container.read_bytes(), *jobs])
+    assert all(outputs[0][1:])
+    assert outputs[0] == outputs[1]
 
 
 def test_decompress_round_trip(capsys, corpus_dir, tmp_path):

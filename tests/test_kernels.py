@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -167,6 +168,48 @@ def test_ranked_inverted_index_orders_by_count_then_file():
     dictionary, _, dag = build_dag(files)
     ranked = kernels.ranked_inverted_index(dag, dictionary)
     assert ranked["a_b_c"] == [(1, 2), (0, 1), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "tables, expected",
+    [
+        # count descending, ties by file
+        (
+            [Counter(g=1), Counter(g=3), Counter(g=1), Counter(g=2)],
+            [("g", [(1, 3), (3, 2), (0, 1), (2, 1)])],
+        ),
+        # the first file holds the highest count
+        (
+            [Counter(g=5), Counter(g=2, h=2), Counter(g=5)],
+            [("g", [(0, 5), (2, 5), (1, 2)]), ("h", [(1, 2)])],
+        ),
+        # grams in one file each
+        (
+            [Counter(x=2, y=1), Counter(), Counter(z=1)],
+            [("x", [(0, 2)]), ("y", [(0, 1)]), ("z", [(2, 1)])],
+        ),
+        # keys ascending where one gram is a prefix of another
+        (
+            [Counter({"a_b_c": 1, "a0_b": 1}), Counter({"a_b": 2, "a_b_c": 1})],
+            [("a0_b", [(0, 1)]), ("a_b", [(1, 2)]), ("a_b_c", [(0, 1), (1, 1)])],
+        ),
+    ],
+)
+def test_rank_gram_files(tables, expected):
+    assert list(kernels.rank_gram_files(tables).items()) == expected
+
+
+def test_rank_gram_files_gives_each_gram_its_own_list():
+    # p, q and r share a count in each file
+    tables = [Counter(p=1, q=1), Counter(p=1, r=1), Counter(q=1, r=1)]
+    ranked = kernels.rank_gram_files(tables)
+    ranked["q"].append((7, 9))
+    ranked["r"].sort(reverse=True)
+    assert ranked == {
+        "p": [(0, 1), (1, 1)],
+        "q": [(0, 1), (2, 1), (7, 9)],
+        "r": [(2, 1), (1, 1)],
+    }
 
 
 def test_tfidf_reference_values():
