@@ -107,20 +107,11 @@ def _read_text(path: str) -> str:
     return _decode(path, _read_bytes(path))
 
 
-def _read_files(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    return [(name, _read_text(path)) for name, path in pairs]
-
-
-def _read_gz_files(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    files = []
-    for name, path in pairs:
-        try:
-            raw = gzip_mod.decompress(_read_bytes(path))
-        except (EOFError, gzip_mod.BadGzipFile, zlib.error) as exc:
-            raise CorpusError(f"{path} is not a whole gzip file: {exc}") from exc
-        display = name[:-3] if name.endswith(".gz") else name
-        files.append((display, _decode(path, raw)))
-    return files
+def _gunzip(path: str, raw: bytes) -> bytes:
+    try:
+        return gzip_mod.decompress(raw)
+    except (EOFError, gzip_mod.BadGzipFile, zlib.error) as exc:
+        raise CorpusError(f"{path} is not a whole gzip file: {exc}") from exc
 
 
 # -- serialization -----------------------------------------------------------------
@@ -164,22 +155,17 @@ def serialize_tsv(task: str, result, names: list[str]):
 
 
 def serialize_json(task: str, result, names: list[str]) -> str:
-    if task in ("word_count",):
-        body = list(result.items())
-    elif task == "sort":
-        body = [list(item) for item in result]
-    elif task == "inverted_index":
-        body = [[word, ids] for word, ids in result.items()]
-    elif task == "term_vector":
-        body = [[list(item) for item in ranked] for ranked in result]
-    elif task == "sequence_count":
-        body = result
-    elif task == "ranked_inverted_index":
-        body = [[gram, [list(item) for item in ranked]] for gram, ranked in result.items()]
-    elif task == "tfidf":
-        body = [[word, [[f, s] for f, s in scores.items()]] for word, scores in result.items()]
-    else:
+    # JSON writes a tuple as a list. A result keyed by word or gram goes out
+    # as (key, value) pairs, and so do tfidf's scores by file, whose keys
+    # would be strings in a JSON object; lists go out as they are
+    if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    if task == "tfidf":
+        body = [[word, list(scores.items())] for word, scores in result.items()]
+    elif isinstance(result, dict):
+        body = list(result.items())
+    else:
+        body = result
     return json.dumps(
         {"schema_version": 1, "task": task, "files": names, "result": body},
         ensure_ascii=False,
@@ -201,25 +187,38 @@ def _emit(task, result, names, output):
         sys.stdout.write("\n".join(chunk))
 
 
-# -- oracle dispatch -----------------------------------------------------------------
+# -- engines -----------------------------------------------------------------------
+# An engine runs a job in three steps: read the inputs' bytes, init the state
+# that the task runs on (the loaded container, or the token lists of the raw
+# or gzipped text), and compute the task. `analyze` runs the steps and
+# `bench` times each. They call the library through this module's globals at
+# call time, so a wrapper set on one of those sees every job.
 
 
-def _oracle_compute(task, lists, l, top_k):
-    if task == "word_count":
-        return oracle.word_count_tokens(lists)
-    if task == "sort":
-        return oracle.sort_words_tokens(lists)
-    if task == "inverted_index":
-        return oracle.inverted_index_tokens(lists)
-    if task == "term_vector":
-        return oracle.term_vector_tokens(lists, top_k)
-    if task == "sequence_count":
-        return oracle.sequence_count_tokens(lists, l)
-    if task == "ranked_inverted_index":
-        return oracle.ranked_inverted_index_tokens(lists, l)
-    if task == "tfidf":
-        return oracle.tfidf_tokens(lists)
-    raise ValueError(f"unknown task {task!r}")
+def _read(pairs: list[tuple[str, str]]) -> list[bytes]:
+    return [_read_bytes(path) for _, path in pairs]
+
+
+def _init(engine: str, pairs, blobs: list[bytes], lowercase: bool = False):
+    """The state that the task runs on, and the file names."""
+    if engine == "cd":
+        (data,) = blobs
+        state = load_container(data)
+        return state, [entry.name for entry in state[2].file_table]
+    lists, names = [], []
+    for (name, path), raw in zip(pairs, blobs):
+        if engine == "gzip":
+            raw, name = _gunzip(path, raw), name.removesuffix(".gz")
+        lists.append(tokenize(_decode(path, raw), lowercase))
+        names.append(name)
+    return lists, names
+
+
+def _compute(engine: str, task: str, state, variant, l: int, top_k):
+    if engine == "cd":
+        dictionary, dag, _ = state
+        return run_task(task, dag, dictionary, variant, l, top_k)
+    return oracle.run_task(task, state, l, top_k)
 
 
 def _auto_variant(header) -> str:
@@ -234,22 +233,32 @@ def _auto_variant(header) -> str:
 # -- commands --------------------------------------------------------------------
 
 
+def _compress(pairs, out: str, lowercase: bool = False, deflate: bool = True):
+    """Read the files, encode -> infer -> write their container to `out`.
+
+    Returns the dictionary, the encoded corpus, the grammar and the
+    container's bytes.
+    """
+    files = [(name, _read_text(path)) for name, path in pairs]
+    dictionary, encoded = encode_corpus(files, lowercase)
+    grammar = infer_grammar(encoded.symbols, dictionary.n_total, dictionary.word_count)
+    blob = write_container(dictionary, grammar, encoded.file_table, deflate=deflate)
+    with open(out, "wb") as handle:
+        handle.write(blob)
+    return dictionary, encoded, grammar, blob
+
+
 def cmd_compress(args) -> int:
     pairs = _collect_paths(args.inputs, args.file_list)
-    files = _read_files(pairs)
-    dictionary, encoded = encode_corpus(files, args.lowercase)
-    grammar = infer_grammar(encoded.symbols, dictionary.n_total, dictionary.word_count)
-    blob = write_container(
-        dictionary, grammar, encoded.file_table, deflate=not args.no_deflate
+    dictionary, encoded, grammar, blob = _compress(
+        pairs, args.out, args.lowercase, deflate=not args.no_deflate
     )
-    with open(args.out, "wb") as handle:
-        handle.write(blob)
     if args.dump_dict:
         with open(args.dump_dict, "w", encoding="utf-8") as handle:
             for line in dictionary.dump_lines():
                 handle.write(line + "\n")
     _log(
-        f"compressed {len(files)} files, {encoded.total_tokens} tokens, "
+        f"compressed {len(pairs)} files, {encoded.total_tokens} tokens, "
         f"vocabulary {dictionary.word_count}, {len(grammar.rules)} rules "
         f"-> {args.out} ({len(blob)} bytes)"
     )
@@ -297,20 +306,16 @@ def cmd_analyze(args) -> int:
 
 def _analyze(args) -> int:
     task = TASK_NAMES[args.task]
-    if args.engine in ("baseline", "gzip"):
+    if args.engine == "cd":
+        if len(args.inputs) != 1:
+            raise CorpusError("engine cd expects exactly one container file")
+        pairs = [(args.inputs[0], args.inputs[0])]
+    else:
         pairs = _collect_paths(args.inputs, None)
-        files = _read_gz_files(pairs) if args.engine == "gzip" else _read_files(pairs)
-        lists = oracle.token_lists(files, args.lowercase)
-        result = _oracle_compute(task, lists, args.l, args.top_k)
-        _emit(task, result, [name for name, _ in files], args.output)
-        return 0
-
-    if len(args.inputs) != 1:
-        raise CorpusError("engine cd expects exactly one container file")
-    dictionary, dag, header = load_container(_read_bytes(args.inputs[0]))
-    names = [entry.name for entry in header.file_table]
-    variant = _auto_variant(header)
-    result = run_task(task, dag, dictionary, variant, args.l, args.top_k)
+    state, names = _init(args.engine, pairs, _read(pairs), args.lowercase)
+    # the traversal is chosen from the loaded container's header
+    variant = _auto_variant(state[2]) if args.engine == "cd" else None
+    result = _compute(args.engine, task, state, variant, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0
 
@@ -337,32 +342,17 @@ def cmd_features(args) -> int:
 # -- bench -----------------------------------------------------------------------
 
 
-def _timed(fn):
+def _timed(fn, *args):
     start = time.perf_counter()
-    value = fn()
+    value = fn(*args)
     return value, time.perf_counter() - start
 
 
-def _bench_cd(task, container_path, variant, l, top_k):
-    data, io_s = _timed(lambda: _read_bytes(container_path))
-
-    (dictionary, dag, _), init_s = _timed(lambda: load_container(data))
-    _, compute_s = _timed(lambda: run_task(task, dag, dictionary, variant, l, top_k))
-    return {"io": io_s, "init": init_s, "compute": compute_s}
-
-
-def _bench_raw(task, pairs, l, top_k, gz: bool):
-    blobs, io_s = _timed(lambda: [(name, _read_bytes(path)) for name, path in pairs])
-
-    def init():
-        lists = []
-        for _, blob in blobs:
-            raw = gzip_mod.decompress(blob) if gz else blob
-            lists.append(tokenize(raw.decode("utf-8")))
-        return lists
-
-    lists, init_s = _timed(init)
-    _, compute_s = _timed(lambda: _oracle_compute(task, lists, l, top_k))
+def _time_steps(engine, task, pairs, variant, l, top_k) -> dict[str, float]:
+    """Seconds taken by each of the engine's steps in one run of the job."""
+    blobs, io_s = _timed(_read, pairs)
+    (state, _), init_s = _timed(_init, engine, pairs, blobs)
+    _, compute_s = _timed(_compute, engine, task, state, variant, l, top_k)
     return {"io": io_s, "init": init_s, "compute": compute_s}
 
 
@@ -375,11 +365,7 @@ def _prepare_container(pairs, container_path):
     runs walks them, and that time lands in whichever phase set it off.
     """
     start = time.perf_counter()
-    dictionary, encoded = encode_corpus(_read_files(pairs))
-    grammar = infer_grammar(encoded.symbols, dictionary.n_total, dictionary.word_count)
-    blob = write_container(dictionary, grammar, encoded.file_table, deflate=True)
-    with open(container_path, "wb") as handle:
-        handle.write(blob)
+    dictionary, encoded, grammar, blob = _compress(pairs, container_path)
     compress_seconds = time.perf_counter() - start
     plain_size = len(
         write_container(dictionary, grammar, encoded.file_table, deflate=False)
@@ -389,12 +375,20 @@ def _prepare_container(pairs, container_path):
 
 
 def cmd_bench(args) -> int:
+    """Time the engines on the corpus. The container and the gzip copies go
+    to `--workdir` when given, else to a temporary directory that is removed
+    afterwards."""
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
+        return _bench(args, args.workdir)
+    with tempfile.TemporaryDirectory(prefix="tadoc-bench-") as workdir:
+        return _bench(args, workdir)
+
+
+def _bench(args, workdir: str) -> int:
     task = TASK_NAMES[args.task]
     pairs = _collect_paths([args.corpus], None)
     raw_size = sum(os.path.getsize(path) for _, path in pairs)
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="tadoc-bench-")
-    os.makedirs(workdir, exist_ok=True)
 
     container_path = os.path.join(workdir, "corpus.tdoc")
     header, plain_size, compress_seconds = _prepare_container(pairs, container_path)
@@ -409,20 +403,18 @@ def cmd_bench(args) -> int:
             dst.write(gzip_mod.compress(src.read(), 6))
         gz_size += os.path.getsize(gz_path)
         gz_pairs.append((name + ".gz", gz_path))
+    inputs = {
+        "cd": [(container_path, container_path)], "baseline": pairs, "gzip": gz_pairs
+    }
 
     # repeat r of every engine runs before repeat r + 1, so drift of the
     # host's speed spreads over all engines
     engine_runs: dict[str, list[dict]] = {engine: [] for engine in args.engines}
     for _ in range(args.repeat):
         for engine, runs in engine_runs.items():
-            if engine == "cd":
-                runs.append(
-                    _bench_cd(task, container_path, variant, args.l, args.top_k)
-                )
-            elif engine == "baseline":
-                runs.append(_bench_raw(task, pairs, args.l, args.top_k, gz=False))
-            else:
-                runs.append(_bench_raw(task, gz_pairs, args.l, args.top_k, gz=True))
+            runs.append(
+                _time_steps(engine, task, inputs[engine], variant, args.l, args.top_k)
+            )
     results = {}
     for engine, runs in engine_runs.items():
         medians = {
@@ -475,23 +467,19 @@ def cmd_bench(args) -> int:
 
     if args.output == "json":
         print(json.dumps(report, ensure_ascii=False))
-    else:
-        print("engine\tio_s\tinit_s\tcompute_s\ttotal_s")
-        for engine in args.engines:
-            r = results[engine]
-            print(
-                f"{engine}\t{r['io']:.4f}\t{r['init']:.4f}"
-                f"\t{r['compute']:.4f}\t{r['total']:.4f}"
-            )
-        print(f"size_raw\t{raw_size}")
-        print(f"size_container\t{container_size}")
-        print(f"size_container_no_deflate\t{plain_size}")
-        print(f"size_deflate_of_raw\t{gz_size}")
-        print("ratio_raw\t1.000")
-        if gz_size:
-            print(f"ratio_deflate_of_raw\t{raw_size / gz_size:.3f}")
-        print(f"ratio_container\t{raw_size / container_size:.3f}")
-        print(f"ratio_container_no_deflate\t{raw_size / plain_size:.3f}")
+        return 0
+    print("engine\tio_s\tinit_s\tcompute_s\ttotal_s")
+    for engine, r in report["engines"].items():
+        print(
+            f"{engine}\t{r['io']:.4f}\t{r['init']:.4f}"
+            f"\t{r['compute']:.4f}\t{r['total']:.4f}"
+        )
+    for key, size in report["sizes"].items():
+        print(f"size_{key}\t{size}")
+    for key, ratio in report["ratios"].items():
+        # no ratio to a corpus whose gzip copies hold no bytes
+        if ratio is not None:
+            print(f"ratio_{key}\t{ratio:.3f}")
     return 0
 
 
@@ -572,7 +560,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--top-k", type=_top_k, default=None)
     p.add_argument("--l", type=_positive_length, default=3)
-    p.add_argument("--lowercase", action="store_true")
+    p.add_argument(
+        "--lowercase", action="store_true",
+        help="NFC + lowercase the text of engines baseline and gzip",
+    )
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_analyze)
 
@@ -607,6 +598,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "analyze" and args.engine == "cd" and args.lowercase:
+        # the container's words were folded, or not, when it was compressed
+        parser.error(
+            "analyze --lowercase applies to engines baseline and gzip; "
+            "pass --lowercase to compress to fold a container's words"
+        )
     try:
         return args.func(args)
     except ContainerError as exc:

@@ -515,6 +515,10 @@ def _count_gram_runs(
     tables = []
     for run in runs:
         run = list(map(words.__getitem__, run))
+        if len(run) < l:
+            # no window, and the zip below would copy the run l times
+            tables.append(Counter())
+            continue
         tables.append(Counter(map("_".join, zip(*(run[i:] for i in range(l))))))
     return tables
 

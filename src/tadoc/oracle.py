@@ -6,8 +6,9 @@ lists, no grammar, no memoization. Tokenization and output ordering match
 the compressed path exactly.
 
 The `*_tokens` functions take pre-tokenized files so the benchmark can time
-tokenization (init) apart from counting (compute); the plain-named wrappers
-take (name, text) pairs.
+tokenization (init) apart from counting (compute). `run_task` is the plain
+engine's one task dispatch over them, which the CLI's `baseline` and `gzip`
+engines use; `run` takes (name, text) pairs instead.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import math
 from collections import Counter
 
 from .corpus import tokenize
-
-
-def token_lists(files: list[tuple[str, str]], lowercase: bool = False):
-    return [tokenize(text, lowercase) for _, text in files]
 
 
 def word_count_tokens(lists: list[list[str]]) -> dict[str, int]:
@@ -90,29 +87,26 @@ def tfidf_tokens(lists) -> dict[str, dict[int, float]]:
     return {word: dict(sorted(scores[word].items())) for word in sorted(scores)}
 
 
-def word_count(files, lowercase=False):
-    return word_count_tokens(token_lists(files, lowercase))
+def run_task(task, lists, l=3, top_k=None):
+    """Run one of `kernels.TASKS` on pre-tokenized files, as `kernels.run_task`
+    runs it on a DAG."""
+    if task == "word_count":
+        return word_count_tokens(lists)
+    if task == "sort":
+        return sort_words_tokens(lists)
+    if task == "inverted_index":
+        return inverted_index_tokens(lists)
+    if task == "term_vector":
+        return term_vector_tokens(lists, top_k)
+    if task == "sequence_count":
+        return sequence_count_tokens(lists, l)
+    if task == "ranked_inverted_index":
+        return ranked_inverted_index_tokens(lists, l)
+    if task == "tfidf":
+        return tfidf_tokens(lists)
+    raise ValueError(f"unknown task {task!r}")
 
 
-def sort_words(files, lowercase=False):
-    return sort_words_tokens(token_lists(files, lowercase))
-
-
-def inverted_index(files, lowercase=False):
-    return inverted_index_tokens(token_lists(files, lowercase))
-
-
-def term_vector(files, lowercase=False, top_k=None):
-    return term_vector_tokens(token_lists(files, lowercase), top_k)
-
-
-def sequence_count(files, l=3, lowercase=False):
-    return sequence_count_tokens(token_lists(files, lowercase), l)
-
-
-def ranked_inverted_index(files, l=3, lowercase=False):
-    return ranked_inverted_index_tokens(token_lists(files, lowercase), l)
-
-
-def tfidf(files, lowercase=False):
-    return tfidf_tokens(token_lists(files, lowercase))
+def run(task, files, l=3, top_k=None, lowercase=False):
+    """`run_task` on (name, text) pairs."""
+    return run_task(task, [tokenize(text, lowercase) for _, text in files], l, top_k)

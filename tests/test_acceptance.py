@@ -133,15 +133,7 @@ def test_acceptance_3_oracle_equivalence_all_kernels():
         streams = [
             [dictionary.code_for(t) for t in tokenize(text)] for _, text in files
         ]
-        truth = {
-            "word_count": oracle.word_count(files),
-            "sort": oracle.sort_words(files),
-            "inverted_index": oracle.inverted_index(files),
-            "term_vector": oracle.term_vector(files),
-            "sequence_count": oracle.sequence_count(files, 3),
-            "ranked_inverted_index": oracle.ranked_inverted_index(files, 3),
-            "tfidf": oracle.tfidf(files),
-        }
+        truth = {task: oracle.run(task, files) for task in kernels.TASKS}
         for threshold in (0, 100):
             for task, outputs in _sequential_results(files, threshold).items():
                 for result in outputs:

@@ -1,10 +1,12 @@
 import gc
 import gzip
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -231,18 +233,13 @@ def test_bench_runs_repeat_r_of_every_engine_before_repeat_r_plus_1(
     from tadoc import cli
 
     calls = []
-    phases = {"io": 0.0, "init": 0.0, "compute": 1.0}
+    compute = cli._compute
 
-    def fake_cd(*args):
-        calls.append("cd")
-        return dict(phases)
+    def recording_compute(engine, *args):
+        calls.append(engine)
+        return compute(engine, *args)
 
-    def fake_raw(task, pairs, l, top_k, gz):
-        calls.append("gzip" if gz else "baseline")
-        return dict(phases)
-
-    monkeypatch.setattr(cli, "_bench_cd", fake_cd)
-    monkeypatch.setattr(cli, "_bench_raw", fake_raw)
+    monkeypatch.setattr(cli, "_compute", recording_compute)
     code, out, _ = run(capsys, [
         "bench", str(corpus_dir), "word-count", "--repeat", "3",
         "--engines", "gzip,cd,baseline", "--output", "json",
@@ -617,6 +614,110 @@ def test_bench_smoke(capsys, corpus_dir, tmp_path):
     code, out, _ = run(capsys, bench_cd)
     assert code == 0
     assert set(json.loads(out)["engines"]) == {"cd"}
+
+
+# every task's `--output json` on `corpus_dir`, written out so that a fault
+# shared by the serializer and both engines still shows
+GOLDEN_JSON = {
+    "word-count": '[["a", 7], ["b", 6], ["brown", 1], ["c", 2], ["d", 2], '
+    '["fox", 1], ["quick", 1], ["the", 1]]',
+    "sort": '[["a", 7], ["b", 6], ["brown", 1], ["c", 2], ["d", 2], ["fox", 1], '
+    '["quick", 1], ["the", 1]]',
+    "inverted-index": '[["a", [0, 1]], ["b", [0, 1]], ["brown", [1]], ["c", [0]], '
+    '["d", [0]], ["fox", [1]], ["quick", [1]], ["the", [1]]]',
+    "term-vector": '[[["a", 6], ["b", 5], ["c", 2], ["d", 2]], [["a", 1], ["b", 1], '
+    '["brown", 1], ["fox", 1], ["quick", 1], ["the", 1]]]',
+    "sequence-count": '[{"a_b_a": 1, "a_b_c": 2, "a_b_d": 2, "b_c_a": 2, "b_d_a": 2, '
+    '"c_a_b": 2, "d_a_b": 2}, {"brown_fox_a": 1, "fox_a_b": 1, "quick_brown_fox": 1, '
+    '"the_quick_brown": 1}]',
+    "ranked-inverted-index": '[["a_b_a", [[0, 1]]], ["a_b_c", [[0, 2]]], '
+    '["a_b_d", [[0, 2]]], ["b_c_a", [[0, 2]]], ["b_d_a", [[0, 2]]], '
+    '["brown_fox_a", [[1, 1]]], ["c_a_b", [[0, 2]]], ["d_a_b", [[0, 2]]], '
+    '["fox_a_b", [[1, 1]]], ["quick_brown_fox", [[1, 1]]], '
+    '["the_quick_brown", [[1, 1]]]]',
+    "tfidf": '[["a", [[0, 0.0], [1, 0.0]]], ["b", [[0, 0.0], [1, 0.0]]], '
+    '["brown", [[1, 0.6931471805599453]]], ["c", [[0, 1.3862943611198906]]], '
+    '["d", [[0, 1.3862943611198906]]], ["fox", [[1, 0.6931471805599453]]], '
+    '["quick", [[1, 0.6931471805599453]]], ["the", [[1, 0.6931471805599453]]]]',
+}
+
+
+def test_json_output_of_every_task_is_the_golden_text(capsys, corpus_dir, tmp_path):
+    container = tmp_path / "c.tdoc"
+    assert main(["compress", str(corpus_dir), "--out", str(container)]) == 0
+    assert set(GOLDEN_JSON) == set(TASK_NAMES)
+    for task, result in GOLDEN_JSON.items():
+        expected = (
+            f'{{"schema_version": 1, "task": "{TASK_NAMES[task]}", '
+            f'"files": ["f0.txt", "f1.txt"], "result": {result}}}\n'
+        )
+        for argv in (
+            ["analyze", str(container), task],
+            ["analyze", str(corpus_dir), task, "--engine", "baseline"],
+        ):
+            code, out, _ = run(capsys, [*argv, "--output", "json"])
+            assert (code, out) == (0, expected), argv
+
+
+def test_lowercase_with_the_cd_engine_is_usage_error(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "f0.txt").write_text("A a\n")
+    plain, folded = tmp_path / "plain.tdoc", tmp_path / "folded.tdoc"
+    assert main(["compress", str(corpus), "--out", str(plain)]) == 0
+    assert main(["compress", str(corpus), "--out", str(folded), "--lowercase"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", str(plain), "word-count", "--lowercase"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pass --lowercase to compress" in captured.err
+    for argv in (
+        ["analyze", str(corpus), "word-count", "--engine", "baseline", "--lowercase"],
+        ["analyze", str(folded), "word-count"],
+    ):
+        assert run(capsys, argv)[:2] == (0, "a\t2\n"), argv
+    assert run(capsys, ["analyze", str(plain), "word-count"])[:2] == (0, "A\t1\na\t1\n")
+
+
+def test_bench_removes_its_temporary_directory(capsys, corpus_dir, tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    code, out, _ = run(capsys, ["bench", str(corpus_dir), "word-count", "--repeat", "1"])
+    assert code == 0 and out
+    assert list(scratch.iterdir()) == []
+
+
+def test_bench_tsv_rows_carry_the_json_report(capsys, corpus_dir, tmp_path, monkeypatch):
+    from tadoc import cli
+
+    outputs = {}
+    for output in ("json", "tsv"):
+        # the same step times in both runs, multiples of 1/64 so exact
+        ticks = itertools.count(1)
+        monkeypatch.setattr(cli, "_timed", lambda fn, *args: (fn(*args), next(ticks) / 64))
+        code, outputs[output], _ = run(capsys, [
+            "bench", str(corpus_dir), "sequence-count", "--repeat", "2",
+            "--output", output, "--workdir", str(tmp_path / "bench"),
+        ])
+        assert code == 0
+    report = json.loads(outputs["json"])
+    rows = [line.split("\t") for line in outputs["tsv"].splitlines()]
+    assert [row[0] for row in rows] == [
+        "engine", "cd", "baseline", "gzip",
+        "size_raw", "size_container", "size_container_no_deflate", "size_deflate_of_raw",
+        "ratio_raw", "ratio_deflate_of_raw", "ratio_container", "ratio_container_no_deflate",
+    ]
+    assert rows[0][1:] == ["io_s", "init_s", "compute_s", "total_s"]
+    for engine, *cells in rows[1:4]:
+        phases = report["engines"][engine]
+        assert cells == [f"{phases[p]:.4f}" for p in ("io", "init", "compute", "total")]
+    for key, cell in rows[4:8]:
+        assert int(cell) == report["sizes"][key.removeprefix("size_")]
+    for key, cell in rows[8:]:
+        assert cell == f"{report['ratios'][key.removeprefix('ratio_')]:.3f}"
 
 
 def test_json_output_schema(capsys, ref_container):

@@ -438,3 +438,15 @@ def test_format_doc_example_matches_the_writer():
     assert grammar.rules == [[4, 4, 2], [0, 1]]
     blob = C.write_container(dictionary, grammar, encoded.file_table, False)
     assert blob == bytes(expected)
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python", 1)[1]
+    exec(compile(sketch.split("```", 1)[0], "README.md", "exec"), {})
+    # word count, the inverted index and the 3-gram counts of "to be or not to be"
+    assert capsys.readouterr().out.splitlines() == [
+        "{'be': 2, 'not': 1, 'or': 1, 'to': 2}",
+        "{'be': [0], 'not': [0], 'or': [0], 'to': [0]}",
+        "[{'be_or_not': 1, 'not_to_be': 1, 'or_not_to': 1, 'to_be_or': 1}]",
+    ]

@@ -108,15 +108,7 @@ def run_task_sequential(files, task, l=3):
 
 
 def run_oracle(files, task, l=3):
-    return {
-        "word_count": oracle.word_count,
-        "sort": oracle.sort_words,
-        "inverted_index": oracle.inverted_index,
-        "term_vector": oracle.term_vector,
-        "sequence_count": lambda f: oracle.sequence_count(f, l),
-        "ranked_inverted_index": lambda f: oracle.ranked_inverted_index(f, l),
-        "tfidf": oracle.tfidf,
-    }[task](files)
+    return oracle.run(task, files, l)
 
 
 def test_results_invariant_under_worker_count():
@@ -131,7 +123,7 @@ def test_results_invariant_under_worker_count():
                 merged = run_parallel(dictionary, streams, task, workers)
                 assert merged == reference, (task, workers)
         for top_k in (0, 1, 3):
-            reference = oracle.term_vector(files, top_k=top_k)
+            reference = oracle.run("term_vector", files, top_k=top_k)
             for workers in (1, 2, 4, 8):
                 merged = run_parallel(
                     dictionary, streams, "term_vector", workers, top_k=top_k
@@ -174,11 +166,11 @@ def test_split_file_sequence_count_matches_oracle():
                 merged = run_parallel(
                     dictionary, streams, "sequence_count", workers, l=l
                 )
-                assert merged == oracle.sequence_count(files, l), (workers, l)
+                assert merged == oracle.run("sequence_count", files, l), (workers, l)
                 ranked = run_parallel(
                     dictionary, streams, "ranked_inverted_index", workers, l=l
                 )
-                assert ranked == oracle.ranked_inverted_index(files, l)
+                assert ranked == oracle.run("ranked_inverted_index", files, l)
 
 
 def test_split_file_with_underscore_words_matches_oracle():
@@ -194,11 +186,11 @@ def test_split_file_with_underscore_words_matches_oracle():
             assert 0 in plan.split_files
         for l in (2, 3, 4):
             counts = run_parallel(dictionary, streams, "sequence_count", workers, l=l)
-            assert counts == oracle.sequence_count(files, l), (workers, l)
+            assert counts == oracle.run("sequence_count", files, l), (workers, l)
             ranked = run_parallel(
                 dictionary, streams, "ranked_inverted_index", workers, l=l
             )
-            assert ranked == oracle.ranked_inverted_index(files, l), (workers, l)
+            assert ranked == oracle.run("ranked_inverted_index", files, l), (workers, l)
 
 
 def test_run_parallel_rejects_unknown_task():

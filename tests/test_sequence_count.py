@@ -13,6 +13,7 @@ corpora check which file takes which path.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -54,10 +55,10 @@ def both_path_tables(dag, words, l=None):
 
 def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths=True):
     truth = {
-        "word_count": oracle.word_count(files),
-        "inverted_index": oracle.inverted_index(files),
-        "term_vector": oracle.term_vector(files),
-        "tfidf": oracle.tfidf(files),
+        "word_count": oracle.run("word_count", files),
+        "inverted_index": oracle.run("inverted_index", files),
+        "term_vector": oracle.run("term_vector", files),
+        "tfidf": oracle.run("tfidf", files),
     }
     for threshold in thresholds:
         dictionary, _, dag = build_dag(files, threshold)
@@ -96,8 +97,8 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths
 def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths=True):
     assert_words_exact(files, thresholds, workers, both_paths)
     for l in LENGTHS:
-        counts = _items(oracle.sequence_count(files, l))
-        ranked = _items(oracle.ranked_inverted_index(files, l))
+        counts = _items(oracle.run("sequence_count", files, l))
+        ranked = _items(oracle.run("ranked_inverted_index", files, l))
         for threshold in thresholds:
             dictionary, _, dag = build_dag(files, threshold)
             got = kernels.sequence_count(dag, dictionary, l)
@@ -245,7 +246,7 @@ def test_mixed_corpus_takes_both_paths():
 
 def test_mixed_corpus_inverted_index(capsys, tmp_path):
     files = _mixed_corpus()
-    expected = oracle.inverted_index(files)
+    expected = oracle.run("inverted_index", files)
     for threshold in (0, 4, 100):
         dictionary, _, dag = build_dag(files, threshold)
         for variant in kernels.INDEX_VARIANTS:
@@ -299,7 +300,7 @@ def test_one_long_file_pays_only_for_the_rules_it_reaches(monkeypatch):
     got = kernels.sequence_count(dag, dictionary, 3)
     # one call per reached rule, and one for the long file's segment
     assert len(calls) == len(reached) + 1
-    assert _items(got) == _items(oracle.sequence_count(files, 3))
+    assert _items(got) == _items(oracle.run("sequence_count", files, 3))
 
 
 def test_rule_over_the_cap_is_never_expanded(monkeypatch):
@@ -329,3 +330,25 @@ def test_rule_over_the_cap_is_never_expanded(monkeypatch):
     assert built
     longest = max(len(words) for table in built for words in table if words is not None)
     assert longest <= EXPANSION_CAP
+
+
+def test_a_window_longer_than_every_file_costs_no_memory():
+    # each short file's run used to be sliced l times, whatever its length
+    files = [("f0", "a b c d"), ("f1", "b c d e")]
+    dictionary, _, dag = build_dag(files)
+    streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
+    l = 10**5
+    expected = oracle.run("sequence_count", files, l)
+    assert expected == [{}, {}]
+    for count in (
+        lambda: kernels.sequence_count(dag, dictionary, l),
+        lambda: run_parallel(dictionary, streams, "sequence_count", 1, l),
+    ):
+        tracemalloc.start()
+        try:
+            got = count()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 1 << 20

@@ -53,3 +53,49 @@ def test_tracer_installs_and_restores_every_target():
         tracer.uninstall()
     for (module, function), original in originals.items():
         assert getattr(importlib.import_module(f"tadoc.{module}"), function) is original
+
+
+# the span that each task's kernel records; word count runs preorder
+KERNEL_SPANS = {
+    "word_count": "kernels.word_count_preorder",
+    "sort": "kernels.sort_words",
+    "inverted_index": "kernels.inverted_index",
+    "term_vector": "kernels.term_vector",
+    "sequence_count": "kernels.sequence_count",
+    "ranked_inverted_index": "kernels.ranked_inverted_index",
+    "tfidf": "kernels.tfidf",
+}
+
+
+def test_every_analyze_job_records_its_layer_spans(capsys, tmp_path):
+    """The per-layer rows of `perfbench/run.py --trace 1` come from these
+    spans; a job that calls a step the tracer cannot see reads zero there."""
+    from tadoc import cli
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "f0.txt").write_text("a b c a b d a b c a b d a b a\n")
+    (corpus / "f1.txt").write_text("the quick brown fox a b\n")
+    container = str(tmp_path / "c.tdoc")
+    assert cli.main(["compress", str(corpus), "--out", container]) == 0
+    assert set(KERNEL_SPANS) == set(cli.TASK_NAMES.values())
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name, task in cli.TASK_NAMES.items():
+            tracer.begin_op(0, task)
+            argv = ["analyze", container, name, "--variant", "auto", "--workers", "1"]
+            assert cli.main(argv) == 0, task
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    recorded = {task: set() for task in KERNEL_SPANS}
+    for span in tracer.spans:
+        recorded[tracer.ops[span.op][1]].add(span.name)
+    for task, names in recorded.items():
+        expected = {
+            "container.read_container", "dag.load_merge_graph",
+            KERNEL_SPANS[task], "cli._emit",
+        }
+        assert expected <= names, task
