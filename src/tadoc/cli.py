@@ -43,6 +43,11 @@ def _log(message: str) -> None:
 # -- input collection ------------------------------------------------------------
 
 
+# TSV output separates fields by tabs, rows by line breaks and the files of
+# an inverted-index row by commas
+_TSV_BREAKS = frozenset(",\t\r\n")
+
+
 def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, str]]:
     """(display name, filesystem path) pairs, deterministic order."""
     pairs: list[tuple[str, str]] = []
@@ -71,6 +76,12 @@ def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, 
             pairs.append((path, path))
     if not pairs:
         raise CorpusError("no input files")
+    for name, _ in pairs:
+        if not _TSV_BREAKS.isdisjoint(name):
+            raise CorpusError(
+                f"file name {name!r} holds a comma, tab or line break, which "
+                "would split the fields of TSV output"
+            )
     _check_names([name for name, _ in pairs], CorpusError)
     return pairs
 
@@ -214,20 +225,20 @@ def _init(engine: str, pairs, blobs: list[bytes], lowercase: bool = False):
     return lists, names
 
 
-def _compute(engine: str, task: str, state, variant, l: int, top_k):
+def _compute(engine: str, task: str, state, l: int, top_k):
     if engine == "cd":
         dictionary, dag, _ = state
-        return run_task(task, dag, dictionary, variant, l, top_k)
+        return run_task(task, dag, dictionary, l, top_k)
     return oracle.run_task(task, state, l, top_k)
 
 
-def _auto_variant(header) -> str:
-    """The inverted-index traversal for the container's corpus, logged with
-    the figures it was chosen from."""
+def _log_variant(header) -> None:
+    """Log the published inverted-index pick for the container's corpus with
+    the figures it was chosen from. The line is kept for `perfbench/run.py`'s
+    `check_job`; the pick runs on no file (`kernels.select_variant`)."""
     files, tokens = header.file_count, header.total_tokens
     variant = select_variant(files, tokens)
     _log(f"variant auto: {variant} (avg_file_tokens={tokens / files:.1f}, files={files})")
-    return variant
 
 
 # -- commands --------------------------------------------------------------------
@@ -313,9 +324,9 @@ def _analyze(args) -> int:
     else:
         pairs = _collect_paths(args.inputs, None)
     state, names = _init(args.engine, pairs, _read(pairs), args.lowercase)
-    # the traversal is chosen from the loaded container's header
-    variant = _auto_variant(state[2]) if args.engine == "cd" else None
-    result = _compute(args.engine, task, state, variant, args.l, args.top_k)
+    if args.engine == "cd":
+        _log_variant(state[2])
+    result = _compute(args.engine, task, state, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0
 
@@ -348,11 +359,11 @@ def _timed(fn, *args):
     return value, time.perf_counter() - start
 
 
-def _time_steps(engine, task, pairs, variant, l, top_k) -> dict[str, float]:
+def _time_steps(engine, task, pairs, l, top_k) -> dict[str, float]:
     """Seconds taken by each of the engine's steps in one run of the job."""
     blobs, io_s = _timed(_read, pairs)
     (state, _), init_s = _timed(_init, engine, pairs, blobs)
-    _, compute_s = _timed(_compute, engine, task, state, variant, l, top_k)
+    _, compute_s = _timed(_compute, engine, task, state, l, top_k)
     return {"io": io_s, "init": init_s, "compute": compute_s}
 
 
@@ -393,7 +404,7 @@ def _bench(args, workdir: str) -> int:
     container_path = os.path.join(workdir, "corpus.tdoc")
     header, plain_size, compress_seconds = _prepare_container(pairs, container_path)
     container_size = header.container_size
-    variant = _auto_variant(header)
+    _log_variant(header)
 
     gz_pairs = []
     gz_size = 0
@@ -412,9 +423,7 @@ def _bench(args, workdir: str) -> int:
     engine_runs: dict[str, list[dict]] = {engine: [] for engine in args.engines}
     for _ in range(args.repeat):
         for engine, runs in engine_runs.items():
-            runs.append(
-                _time_steps(engine, task, inputs[engine], variant, args.l, args.top_k)
-            )
+            runs.append(_time_steps(engine, task, inputs[engine], args.l, args.top_k))
     results = {}
     for engine, runs in engine_runs.items():
         medians = {
@@ -551,7 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--variant", default="auto", choices=["auto"],
-        help="only auto: the inverted-index traversal is chosen from the corpus",
+        help="accepted for compatibility: only auto, which logs the published "
+        "inverted-index pick; one traversal runs whatever it names",
     )
     p.add_argument(
         "--workers", type=_at_least_one, default=1,

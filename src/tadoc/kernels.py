@@ -15,9 +15,9 @@ inverted index, taken as a `set`. Its rule expansions come from
 with, built only when some segment is that short. Files of 40-120 tokens
 rarely repeat a rule inside themselves, so the grammar saves them nothing.
 Every other file goes through the grammar, over only the rules that such
-files reach (`_reached`). For the inverted index that is the traversal the
-variant names: word sets folded up (postorder) or file sets pushed down
-(preorder). For the other tasks it is the push-down (`_push_down`): a
+files reach (`_reached`). For the inverted index each reached rule's set of
+files is pushed down to its children, parents first (`_push_file_sets`).
+For the other tasks it is the push-down of frequencies (`_push_down`): a
 file's table is what its root segment holds directly plus each reached
 rule's own table times the rule's frequency in the segment. For word
 counts a rule's own table is its terminal counts. For l-word windows one
@@ -32,9 +32,15 @@ are counted, as the oracle sums them.
 gram name for the order-sensitive tasks) into a task's result; the per-file
 kernels and `run_parallel`, which counts plain code streams with the same
 run counters as short files, share it. The CLI and `tadoc bench` share
-`run_task` (task to kernel) and `select_variant`, which picks the
-inverted-index traversal for the files that are not short from the
-corpus's file and token counts.
+`run_task` (task to kernel).
+
+`select_variant` and INDEX_VARIANTS name the published inverted-index
+traversals (a postorder word-set fold, a preorder file-set push-down over a
+set, a bitmap or a two-level bitmap). None of them runs: in CPython builtin
+sets beat the int-backed bitmaps on every corpus measured, so one set
+push-down serves every name. The names stay because `perfbench/run.py`
+checks the logged pick (`check_job`) and passes the preorder names to
+`inverted_index`.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 
-from .bitmap import make_file_set
 from .corpus import Dictionary
 from .dag import Dag, node_frequencies
 from .sequitur import EXPANSION_CAP, expansions
@@ -68,9 +73,13 @@ INDEX_VARIANTS = ("postorder", "preorder_set", "preorder_bitmap", "preorder_twol
 
 
 def select_variant(file_count: int, total_tokens: int) -> str:
-    """The inverted-index traversal for a corpus, by the published
-    thresholds: postorder when files average under 2860 tokens, else
-    preorder over a two-level bitmap from 801 files and a bitmap below."""
+    """The published inverted-index pick for a corpus: postorder when files
+    average under 2860 tokens, else preorder over a two-level bitmap from
+    801 files and a bitmap below.
+
+    The pick is only logged, for `perfbench/run.py`'s `check_job`; it runs
+    on no file, since `inverted_index` has one traversal.
+    """
     if total_tokens < 2860 * file_count:
         return "postorder"
     if file_count >= 801:
@@ -79,14 +88,9 @@ def select_variant(file_count: int, total_tokens: int) -> str:
 
 
 def run_task(
-    task: str,
-    dag: Dag,
-    dictionary: Dictionary,
-    variant: str = "postorder",
-    l: int = 3,
-    top_k: int | None = None,
+    task: str, dag: Dag, dictionary: Dictionary, l: int = 3, top_k: int | None = None
 ):
-    """Run one of TASKS on `dag`; `variant` picks the inverted-index traversal.
+    """Run one of TASKS on `dag`.
 
     Word count always runs preorder, which is faster than postorder on
     every corpus measured.
@@ -96,7 +100,7 @@ def run_task(
     if task == "sort":
         return sort_words(dag, dictionary)
     if task == "inverted_index":
-        return inverted_index(dag, dictionary, variant)
+        return inverted_index(dag, dictionary)
     if task == "term_vector":
         return term_vector(dag, dictionary, top_k)
     if task == "sequence_count":
@@ -159,7 +163,9 @@ def inverted_index(
     """Per word: the ids of the files holding it, ascending.
 
     A short file (`_short_runs`) is indexed as the set of its expanded run;
-    only the other files go through the `variant` traversal.
+    the other files' sets are pushed down the grammar (`_push_file_sets`).
+    `variant` must name one of INDEX_VARIANTS but selects nothing (see the
+    module docstring).
     """
     if variant not in INDEX_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -167,10 +173,7 @@ def inverted_index(
     postings = _postings(zip(runs, map(set, runs.values())))
     rest = _other_files(dag, runs)
     if rest:
-        if variant == "postorder":
-            index = _inverted_postorder(dag, rest)
-        else:
-            index = _inverted_preorder(dag, rest, variant.removeprefix("preorder_"))
+        index = _push_file_sets(dag, rest)
         if postings:
             for code, files in index.items():
                 short = postings.get(code)
@@ -195,39 +198,15 @@ def _postings(tables: Iterable[tuple[int, Iterable[int]]]) -> dict[int, list[int
     return postings
 
 
-def _inverted_postorder(
+def _push_file_sets(
     dag: Dag, files: list[tuple[int, tuple[int, int]]]
 ) -> dict[int, set[int]]:
-    """Fold word sets up the rules that the (file id, root segment) pairs
-    reach, then cross them with the segments."""
-    nodes = dag.nodes
-    word_sets: dict[int, set[int]] = {}
-    for rid in reversed(_reached(dag, [segment for _, segment in files])):
-        merged = set(nodes[rid].term_counts)
-        for child in nodes[rid].child_counts:
-            merged |= word_sets[child]
-        word_sets[rid] = merged
-
-    root = nodes[dag.root_id].elements
-    index: dict[int, set[int]] = {}
-    for file_id, (start, end) in files:
-        for sym in root[start:end]:
-            if sym < dag.n_terminals:
-                index.setdefault(sym, set()).add(file_id)
-            else:
-                for code in word_sets[sym]:
-                    index.setdefault(code, set()).add(file_id)
-    return index
-
-
-def _inverted_preorder(
-    dag: Dag, files: list[tuple[int, tuple[int, int]]], kind: str
-) -> dict[int, set[int]]:
-    """Seed file sets from the (file id, root segment) pairs and push them
-    down the rules they reach."""
+    """By word code, the ids of the files holding it: each rule's set of
+    files is seeded from the (file id, root segment) pairs that use it and
+    pushed down the rules they reach, parents first."""
     nodes = dag.nodes
     rules = _reached(dag, [segment for _, segment in files])
-    file_sets = {rid: make_file_set(kind, dag.file_count) for rid in rules}
+    file_sets: dict[int, set[int]] = {rid: set() for rid in rules}
     index: dict[int, set[int]] = {}
 
     root = nodes[dag.root_id].elements
@@ -236,16 +215,16 @@ def _inverted_preorder(
             if sym < dag.n_terminals:
                 index.setdefault(sym, set()).add(file_id)
             else:
-                file_sets[sym].set(file_id)
+                file_sets[sym].add(file_id)
 
-    # parents before children: every set is complete before it is pushed on
+    # parents before children: every set is complete before it is pushed
+    # on, and is freed once pushed
     for rid in rules:
-        fs = file_sets[rid]
+        fs = file_sets.pop(rid)
         for child in nodes[rid].child_counts:
-            file_sets[child].update(fs)
-        members = list(fs.iter_set())
+            file_sets[child] |= fs
         for code in nodes[rid].term_counts:
-            index.setdefault(code, set()).update(members)
+            index.setdefault(code, set()).update(fs)
     return index
 
 

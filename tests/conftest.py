@@ -87,15 +87,13 @@ def build_dag(files, threshold=0):
     return dictionary, encoded, dag
 
 
-def traversal_indexes(dag, dictionary):
-    """The inverted index of every file through each variant's traversal,
-    as `kernels.inverted_index` would give it if no file were short."""
-    files = list(enumerate(dag.segments))
-    indexes = [kernels._inverted_postorder(dag, files)]
-    for kind in ("set", "bitmap", "twolevel"):
-        indexes.append(kernels._inverted_preorder(dag, files, kind))
-    sorted_files = [{code: sorted(ids) for code, ids in index.items()} for index in indexes]
-    return [kernels._by_word(index, dictionary.words) for index in sorted_files]
+def traversal_index(dag, dictionary):
+    """The inverted index of every file through the file-set push-down, as
+    `kernels.inverted_index` would give it if no file were short."""
+    index = kernels._push_file_sets(dag, list(enumerate(dag.segments)))
+    return kernels._by_word(
+        {code: sorted(ids) for code, ids in index.items()}, dictionary.words
+    )
 
 
 def sentence_pool(

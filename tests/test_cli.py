@@ -532,6 +532,31 @@ def test_compress_rejects_a_repeated_file_name(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("name", ["a,b", "c\td", "e\rf", "g\nh"])
+@pytest.mark.parametrize("command", ["compress", "baseline", "gzip"])
+def test_file_names_that_split_tsv_fields_are_corpus_errors(
+    capsys, tmp_path, command, name
+):
+    # an inverted-index row joins file names with commas, and every row
+    # separates fields by tabs and ends at a line break
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for file_name, text in (("ok.txt", "x y\n"), (name, "y z\n")):
+        if command == "gzip":
+            (corpus / f"{file_name}.gz").write_bytes(gzip.compress(text.encode()))
+        else:
+            (corpus / file_name).write_text(text)
+    out_path = tmp_path / "c.tdoc"
+    if command == "compress":
+        argv = ["compress", str(corpus), "--out", str(out_path)]
+    else:
+        argv = ["analyze", str(corpus), "inverted-index", "--engine", command]
+    code, out, err = run(capsys, argv)
+    # the message names the file as repr() quotes it, control characters escaped
+    assert (code, out, repr(name)[1:-1] in err) == (4, "", True)
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "names",
     [("x.txt", "x.txt"), ("", "y"), (".", "y"), ("d", "d/x")],

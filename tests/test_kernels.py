@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import build_dag, random_corpus, traversal_indexes
+from conftest import build_dag, random_corpus, traversal_index
 from tadoc import kernels, oracle
 from tadoc.dag import node_frequencies
 
@@ -75,9 +75,7 @@ def test_sort_words_reference():
 
 def test_inverted_index_two_files():
     dictionary, _, dag = build_dag([("f0", "a b"), ("f1", "a c")])
-    expected = {"a": [0, 1], "b": [0], "c": [1]}
-    for variant in kernels.INDEX_VARIANTS:
-        assert kernels.inverted_index(dag, dictionary, variant) == expected
+    assert kernels.inverted_index(dag, dictionary) == {"a": [0, 1], "b": [0], "c": [1]}
 
 
 def test_shared_rule_collects_union_of_files():
@@ -90,9 +88,8 @@ def test_shared_rule_collects_union_of_files():
         ("f2", f"{phrase} {phrase} gamma"),
     ]
     dictionary, _, dag = build_dag(files)
-    indexes = [kernels.inverted_index(dag, dictionary, v) for v in kernels.INDEX_VARIANTS]
-    # every file is short, so the traversals are also run on all of them
-    for index in indexes + traversal_indexes(dag, dictionary):
+    # every file is short, so the push-down is also run on all of them
+    for index in (kernels.inverted_index(dag, dictionary), traversal_index(dag, dictionary)):
         for word in ("lorem", "ipsum", "dolor", "sit"):
             assert index[word] == [0, 1, 2]
         assert index["alpha"] == [0]
@@ -230,9 +227,8 @@ def test_all_kernels_match_oracle():
             assert kernels.word_count_postorder(dag, dictionary) == counts
             assert kernels.word_count_preorder(dag, dictionary) == counts
             assert kernels.sort_words(dag, dictionary) == oracle.run("sort", files)
-            for variant in kernels.INDEX_VARIANTS:
-                assert kernels.inverted_index(dag, dictionary, variant) == \
-                    oracle.run("inverted_index", files)
+            assert kernels.inverted_index(dag, dictionary) == \
+                oracle.run("inverted_index", files)
             assert kernels.term_vector(dag, dictionary) == \
                 oracle.run("term_vector", files)
             for l in (2, 3):

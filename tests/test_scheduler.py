@@ -95,7 +95,7 @@ def run_task_sequential(files, task, l=3):
     if task == "sort":
         return kernels.sort_words(dag, dictionary)
     if task == "inverted_index":
-        return kernels.inverted_index(dag, dictionary, "postorder")
+        return kernels.inverted_index(dag, dictionary)
     if task == "term_vector":
         return kernels.term_vector(dag, dictionary)
     if task == "sequence_count":

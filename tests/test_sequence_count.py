@@ -6,7 +6,7 @@ which slides the window over the plain token lists, for l = 2..8: tables
 and their order must be equal. The word tasks (inverted index, term vector,
 tfidf) and both word count kernels are checked on the same corpora. Every
 file of the small corpora is short, so each corpus also goes through both
-per-file paths, and each inverted-index traversal, called directly; mixed
+per-file paths, and the inverted index's push-down, called directly; mixed
 corpora check which file takes which path.
 """
 
@@ -17,7 +17,7 @@ import tracemalloc
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_dag, traversal_indexes
+from conftest import build_dag, traversal_index
 from tadoc import kernels, oracle
 from tadoc.cli import main
 from tadoc.corpus import Dictionary, encode_corpus, tokenize
@@ -66,15 +66,9 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths
             "word_count": [
                 kernels.word_count_postorder(dag, dictionary),
                 kernels.word_count_preorder(dag, dictionary),
-                *(
-                    kernels.run_task("word_count", dag, dictionary, variant)
-                    for variant in kernels.INDEX_VARIANTS
-                ),
+                kernels.run_task("word_count", dag, dictionary),
             ],
-            "inverted_index": [
-                kernels.inverted_index(dag, dictionary, variant)
-                for variant in kernels.INDEX_VARIANTS
-            ],
+            "inverted_index": [kernels.inverted_index(dag, dictionary)],
             "term_vector": [kernels.term_vector(dag, dictionary)],
             "tfidf": [kernels.tfidf(dag, dictionary)],
         }
@@ -82,7 +76,7 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths
             for tables in both_path_tables(dag, dictionary.words):
                 for task in truth:
                     got[task].append(kernels.finish(task, tables, dictionary))
-            got["inverted_index"] += traversal_indexes(dag, dictionary)
+            got["inverted_index"].append(traversal_index(dag, dictionary))
         for task, results in got.items():
             for result in results:
                 assert _items(result) == _items(truth[task]), (threshold, task)
@@ -205,8 +199,7 @@ def test_doubling_grammar_is_counted_without_expansion():
     words = {"a": half, "b": half}
     assert kernels.word_count_postorder(dag, dictionary) == words
     assert kernels.word_count_preorder(dag, dictionary) == words
-    for variant in kernels.INDEX_VARIANTS:
-        assert kernels.run_task("word_count", dag, dictionary, variant) == words
+    assert kernels.run_task("word_count", dag, dictionary) == words
     assert kernels.term_vector(dag, dictionary) == [[("a", half), ("b", half)]]
     # one file: every word is in every file, so ln(1 / 1) scores 0
     assert kernels.tfidf(dag, dictionary) == {"a": {0: 0.0}, "b": {0: 0.0}}
@@ -249,6 +242,7 @@ def test_mixed_corpus_inverted_index(capsys, tmp_path):
     expected = oracle.run("inverted_index", files)
     for threshold in (0, 4, 100):
         dictionary, _, dag = build_dag(files, threshold)
+        # the names select nothing, but callers such as the benchmark pass them
         for variant in kernels.INDEX_VARIANTS:
             got = kernels.inverted_index(dag, dictionary, variant)
             assert _items(got) == _items(expected), (threshold, variant)
