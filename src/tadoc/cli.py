@@ -44,8 +44,9 @@ def _log(message: str) -> None:
 
 
 # TSV output separates fields by tabs, rows by line breaks and the files of
-# an inverted-index row by commas
-_TSV_BREAKS = frozenset(",\t\r\n")
+# an inverted-index row by commas. The breaks are every character that
+# `str.splitlines` splits at.
+_TSV_BREAKS = frozenset(",\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, str]]:

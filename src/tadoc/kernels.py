@@ -1,10 +1,13 @@
 """Analytics kernels that run directly on the grammar DAG.
 
-Whole-corpus word counts fold or push the merged-edge tables over
-`dag.nodes`. Grammars number their rules parents first, and `dag.nodes`
-holds them in rule-id order, so it lists every parent before its children:
-a node's frequency or file set is complete when its turn comes, and the
-per-file push-down below orders its heap by rule id.
+Kernels read the rule bodies (`dag.rules`) and the words each symbol
+expands to (`dag.lengths`); no per-rule count table is built at load time.
+Grammars number their rules parents first, and `dag.rules` holds them in
+rule-id order, so it lists every parent before its children: a rule's
+frequency or file set is complete when its turn comes, and the per-file
+push-down below orders its heap by rule id. Whole-corpus word counts
+count each body times its rule's frequency in one table, or fold a full
+table per rule, children first.
 
 Per-file tasks, the inverted index among them, choose a path per file,
 reading only the grammar. A short file (`_short_runs`), whose root segment
@@ -20,10 +23,12 @@ files is pushed down to its children, parents first (`_push_file_sets`).
 For the other tasks it is the push-down of frequencies (`_push_down`): a
 file's table is what its root segment holds directly plus each reached
 rule's own table times the rule's frequency in the segment. For word
-counts a rule's own table is its terminal counts. For l-word windows one
-bottom-up pass first keeps each rule's first and last l-1 words (its edge
-summary) and counts the windows that cross the boundaries between its
-elements (its crossing table). Window tables are keyed by gram name, the
+counts a rule's own table is the words of its body, counted for the
+reached rules only. For l-word windows one bottom-up pass first keeps each
+rule's first and last l-1 words (its edge summary) and counts the windows
+that cross the boundaries between its elements (its crossing table); a
+segment of fewer than l words is skipped, with the rules only it reaches.
+Window tables are keyed by gram name, the
 words joined with "_", from the first window on: a `str` caches its hash,
 and grams that join alike (words may contain "_") are summed where they
 are counted, as the oracle sums them.
@@ -31,8 +36,12 @@ are counted, as the oracle sums them.
 `finish` turns the per-file tables (word-code counts, or window counts by
 gram name for the order-sensitive tasks) into a task's result; the per-file
 kernels and `run_parallel`, which counts plain code streams with the same
-run counters as short files, share it. The CLI and `tadoc bench` share
-`run_task` (task to kernel).
+run counters as short files, share it. The kernels stream the tables to it
+in file order (`_by_path`): the pushed-down tables are computed first, a
+short file is counted when its turn comes, and each table is dropped once
+merged, so a job holds its result and about one file's table, not every
+file's (tfidf alone keeps them all, for its document frequencies). The
+CLI and `tadoc bench` share `run_task` (task to kernel).
 
 `select_variant` and INDEX_VARIANTS name the published inverted-index
 traversals (a postorder word-set fold, a preorder file-set push-down over a
@@ -50,11 +59,11 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 
 from .corpus import Dictionary
-from .dag import Dag, node_frequencies
+from .dag import Dag
 from .sequitur import EXPANSION_CAP, expansions
 
 TASKS = (
@@ -116,32 +125,40 @@ def run_task(
 
 
 def word_count_postorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
-    """Word totals from a full count table per node, children folded first."""
+    """Word totals from a full count table per rule, children folded first."""
+    n, n_words = dag.n_terminals, dag.n_words
     tables: dict[int, Counter] = {}
-    for rid, node in reversed(dag.nodes.items()):
-        table = Counter(node.term_counts)
-        for child, mult in node.child_counts.items():
-            child_table = tables[child]
-            if mult == 1:
-                table.update(child_table)
-            else:
-                for code, count in child_table.items():
-                    table[code] += count * mult
+    for rid in range(n + len(dag.rules) - 1, n - 1, -1):
+        table: Counter = Counter()
+        for sym in dag.rules[rid - n]:
+            if sym >= n:
+                table.update(tables[sym])
+            elif sym < n_words:
+                table[sym] += 1
         tables[rid] = table
-    return _by_word(tables[dag.root_id], dictionary.words)
+    return _by_word(tables[n], dictionary.words)
 
 
 def word_count_preorder(dag: Dag, dictionary: Dictionary) -> dict[str, int]:
-    freq = node_frequencies(dag)
-    counts: Counter = Counter()
-    for rid, node in dag.nodes.items():
-        f = freq[rid]
+    """Word totals: each rule's body counted times the rule's frequency.
+
+    One table counts, by symbol, the words and the rule occurrences met so
+    far. Rules number parents first, so a rule's count is its frequency in
+    the expansion when its turn comes.
+    """
+    n = dag.n_terminals
+    rules = dag.rules
+    counts = Counter(rules[0])
+    for rid in range(n + 1, n + len(rules)):
+        f = counts[rid]
         if f == 1:
-            counts.update(node.term_counts)
-        elif f:
-            for code, count in node.term_counts.items():
-                counts[code] += count * f
-    return _by_word(counts, dictionary.words)
+            counts.update(rules[rid - n])
+        else:
+            for sym in rules[rid - n]:
+                counts[sym] += f
+    words = dictionary.words
+    codes = sorted(filter(dag.n_words.__gt__, counts), key=words.__getitem__)
+    return {words[code]: counts[code] for code in codes}
 
 
 def _by_word(table: dict, words: list[str]) -> dict:
@@ -204,27 +221,29 @@ def _push_file_sets(
     """By word code, the ids of the files holding it: each rule's set of
     files is seeded from the (file id, root segment) pairs that use it and
     pushed down the rules they reach, parents first."""
-    nodes = dag.nodes
-    rules = _reached(dag, [segment for _, segment in files])
-    file_sets: dict[int, set[int]] = {rid: set() for rid in rules}
+    n = dag.n_terminals
+    rules = dag.rules
+    reached = _reached(dag, [segment for _, segment in files])
+    file_sets: dict[int, set[int]] = {rid: set() for rid in reached}
     index: dict[int, set[int]] = {}
 
-    root = nodes[dag.root_id].elements
+    root = rules[0]
     for file_id, (start, end) in files:
         for sym in root[start:end]:
-            if sym < dag.n_terminals:
+            if sym < n:
                 index.setdefault(sym, set()).add(file_id)
             else:
                 file_sets[sym].add(file_id)
 
     # parents before children: every set is complete before it is pushed
     # on, and is freed once pushed
-    for rid in rules:
+    for rid in reached:
         fs = file_sets.pop(rid)
-        for child in nodes[rid].child_counts:
-            file_sets[child] |= fs
-        for code in nodes[rid].term_counts:
-            index.setdefault(code, set()).update(fs)
+        for sym in rules[rid - n]:
+            if sym >= n:
+                file_sets[sym] |= fs
+            else:
+                index.setdefault(sym, set()).update(fs)
     return index
 
 
@@ -233,19 +252,23 @@ def _push_file_sets(
 
 def _by_path(
     dag: Dag,
-    count_runs: Callable[[Iterable[Iterator[int]]], list[Counter]],
+    count_run: Callable[[Iterator[int]], Counter],
     push_down: Callable[[list[tuple[int, int]]], list[Counter]],
-) -> list[Counter]:
-    """Per file: `count_runs` over its expanded run when `_short_runs` gives
-    one, else `push_down` over its root segment. Both take and return lists
-    in file order."""
+) -> Iterator[Counter]:
+    """Per file, in file order: `count_run` over its expanded run when
+    `_short_runs` gives one, else its table from `push_down`, which takes
+    the root segments of all such files and runs first. A short file is
+    counted only when its turn comes, and no table is held once given."""
     runs = _short_runs(dag)
-    tables = dict(zip(runs, count_runs(runs.values())))
     rest = _other_files(dag, runs)
+    pushed = {}
     if rest:
         file_ids, segments = zip(*rest)
-        tables.update(zip(file_ids, push_down(list(segments))))
-    return [tables[file_id] for file_id in range(dag.file_count)]
+        pushed = dict(zip(file_ids, push_down(list(segments))))
+    return (
+        count_run(runs.pop(file_id)) if file_id in runs else pushed.pop(file_id)
+        for file_id in range(dag.file_count)
+    )
 
 
 def _other_files(
@@ -259,18 +282,18 @@ def _reached(dag: Dag, segments: list[tuple[int, int]]) -> list[int]:
     """Ids of the rules that the root segments reach, ascending: parents
     first. `dag.load_merge_graph` checks that the root reaches every rule,
     so the segments of all files reach them all."""
-    nodes = dag.nodes
-    if len(segments) == dag.file_count:
-        return list(islice(nodes, 1, None))
     n = dag.n_terminals
-    root = nodes[dag.root_id].elements
+    rules = dag.rules
+    if len(segments) == dag.file_count:
+        return list(range(n + 1, n + len(rules)))
+    root = rules[0]
     seen = {sym for start, end in segments for sym in root[start:end] if sym >= n}
     stack = list(seen)
     while stack:
-        for child in nodes[stack.pop()].child_counts:
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
+        for sym in rules[stack.pop() - n]:
+            if sym >= n and sym not in seen:
+                seen.add(sym)
+                stack.append(sym)
     return sorted(seen)
 
 
@@ -293,9 +316,10 @@ def _short_runs(dag: Dag) -> dict[int, Iterator[int]]:
     ]
     if not short:
         return {}
-    rules = dag.grammar().rules
-    memo = expansions(rules, dag.n_terminals, EXPANSION_CAP)
-    too_long = {rid for rid in dag.nodes if memo[rid] is None and rid != dag.root_id}
+    n = dag.n_terminals
+    rules = dag.rules
+    memo = expansions(rules, n, EXPANSION_CAP)
+    too_long = {rid for rid in range(n + 1, n + len(rules)) if memo[rid] is None}
     root = rules[0]
     runs = {}
     for file_id, start, end in short:
@@ -320,19 +344,20 @@ def _push_down(
     their expansion are skipped, so no loop runs over all of `dag.nodes`
     per file. The seed tables are added to in place and returned.
     """
-    nodes = dag.nodes
-    # rules with something to count in their expansion: (such children, own table)
+    n = dag.n_terminals
+    rules = dag.rules
+    # rules with something to count in their expansion: (such children
+    # with their multiplicities, own table)
     counted: dict[int, tuple[list[tuple[int, int]], dict]] = {}
     for rid, rule_table in own.items():
-        children = [
-            (child, mult)
-            for child, mult in nodes[rid].child_counts.items()
-            if child in counted
-        ]
+        children: dict[int, int] = {}
+        for sym in rules[rid - n]:
+            if sym in counted:
+                children[sym] = children.get(sym, 0) + 1
         if rule_table or children:
-            counted[rid] = (children, rule_table)
+            counted[rid] = (list(children.items()), rule_table)
 
-    root = nodes[dag.root_id].elements
+    root = rules[0]
     for (start, end), table in zip(segments, seeds):
         freq: dict[int, int] = {}
         for sym in root[start:end]:
@@ -358,35 +383,40 @@ def _push_down(
     return seeds
 
 
-def _per_file_code_counts(dag: Dag) -> list[Counter]:
-    """Word-code counts per file: counted over the expanded run of a short
-    file, pushed down for the others."""
-    return _by_path(dag, _count_code_runs, partial(_push_code_counts, dag))
-
-
-def _count_code_runs(runs: Iterable[Iterator[int]]) -> list[Counter]:
-    return [Counter(run) for run in runs]
+def _per_file_code_counts(dag: Dag) -> Iterator[Counter]:
+    """Word-code counts per file, in file order: counted over the expanded
+    run of a short file, pushed down for the others."""
+    return _by_path(dag, Counter, partial(_push_code_counts, dag))
 
 
 def _push_code_counts(dag: Dag, segments: list[tuple[int, int]]) -> list[Counter]:
-    """Per segment: its own words plus each reached rule's terminal counts
+    """Per segment: its own words plus each reached rule's word counts
     times its frequency in the segment."""
     n = dag.n_terminals
-    nodes = dag.nodes
-    root = nodes[dag.root_id].elements
-    seeds = [
-        Counter(sym for sym in root[start:end] if sym < n) for start, end in segments
-    ]
-    own = {rid: nodes[rid].term_counts for rid in reversed(_reached(dag, segments))}
+    rules = dag.rules
+    root = rules[0]
+    seeds = [Counter(filter(n.__gt__, root[start:end])) for start, end in segments]
+    own = {}
+    for rid in reversed(_reached(dag, segments)):
+        own[rid] = table = {}
+        for sym in rules[rid - n]:
+            if sym < n:
+                table[sym] = table.get(sym, 0) + 1
     return _push_down(dag, own, segments, seeds)
 
 
 def finish(
-    task: str, tables: list[Counter], dictionary: Dictionary, top_k: int | None = None
+    task: str,
+    tables: Iterable[Counter],
+    dictionary: Dictionary,
+    top_k: int | None = None,
 ):
-    """The result of `task` from its per-file tables: keyed by gram name
-    for the order-sensitive tasks, whose same-name grams are already
-    summed, and by word code for the others.
+    """The result of `task` from its per-file tables, in file order: keyed
+    by gram name for the order-sensitive tasks, whose same-name grams are
+    already summed, and by word code for the others.
+
+    Each table is merged as it comes and then dropped, except for tfidf,
+    whose document frequencies need every table first.
 
     top_k keeps each file's first top_k terms of a term vector; None keeps
     them all.
@@ -408,6 +438,7 @@ def finish(
             vectors.append(items[:top_k])
         return vectors
     if task == "tfidf":
+        tables = list(tables)
         # the document frequency of a word is the number of files counting it
         df = Counter(chain.from_iterable(tables))
         file_count = len(tables)
@@ -479,27 +510,23 @@ def _crossing_windows(
     return edge, table
 
 
-def _gram_tables(dag: Dag, words: list[str], l: int) -> list[Counter]:
-    """Per file: counts of every l-word window, keyed by gram name; counted
-    over the expanded run of a short file, pushed down for the others."""
+def _gram_tables(dag: Dag, words: list[str], l: int) -> Iterator[Counter]:
+    """Per file, in file order: counts of every l-word window, keyed by gram
+    name; counted over the expanded run of a short file, pushed down for
+    the others."""
     if l < 2:
         raise ValueError(f"sequence length must be >= 2, got {l}")
-    count_runs = partial(_count_gram_runs, words, l)
-    return _by_path(dag, count_runs, partial(_push_gram_tables, dag, words, l))
+    count_run = partial(_count_gram_run, words, l)
+    return _by_path(dag, count_run, partial(_push_gram_tables, dag, words, l))
 
 
-def _count_gram_runs(
-    words: list[str], l: int, runs: Iterable[Iterator[int]]
-) -> list[Counter]:
-    tables = []
-    for run in runs:
-        run = list(map(words.__getitem__, run))
-        if len(run) < l:
-            # no window, and the zip below would copy the run l times
-            tables.append(Counter())
-            continue
-        tables.append(Counter(map("_".join, zip(*(run[i:] for i in range(l))))))
-    return tables
+def _count_gram_run(words: list[str], l: int, run: Iterable[int]) -> Counter:
+    """The l-word windows of one run of word codes, by gram name."""
+    run = list(map(words.__getitem__, run))
+    if len(run) < l:
+        # no window, and the zip below would copy the run l times
+        return Counter()
+    return Counter(map("_".join, zip(*(run[i:] for i in range(l)))))
 
 
 def _push_gram_tables(
@@ -507,31 +534,41 @@ def _push_gram_tables(
 ) -> list[Counter]:
     """Per segment: the l-word windows, by gram name.
 
-    One bottom-up pass gives each rule that the segments reach its edge
-    summary (its words when there are at most 2(l-1), else its first and
-    last l-1) and its crossing table. A segment's table is its own crossing
-    windows plus each reached rule's crossing table times the rule's
-    frequency in the segment. Grams with the same name are summed as they
-    are counted.
+    A segment of fewer than l words (`Dag.lengths`) holds no window and
+    gets an empty table. One bottom-up pass gives each rule that the other
+    segments reach its edge summary (its words when there are at most
+    2(l-1), else its first and last l-1) and its crossing table. Such a
+    segment's table is its own crossing windows plus each reached rule's
+    crossing table times the rule's frequency in the segment. Grams with
+    the same name are summed as they are counted.
     """
-    nodes = dag.nodes
     n = dag.n_terminals
+    rules = dag.rules
+    root = rules[0]
+    length = dag.lengths.__getitem__
+    windowed = {
+        index: (start, end)
+        for index, (start, end) in enumerate(segments)
+        if sum(map(length, root[start:end])) >= l
+    }
+    spans = list(windowed.values())
     edges: dict[int, list[str]] = {}
     crossing: dict[int, Counter] = {}
-    for rid in reversed(_reached(dag, segments)):
+    for rid in reversed(_reached(dag, spans)):
         edges[rid], crossing[rid] = _crossing_windows(
-            nodes[rid].elements, n, words, edges, l
+            rules[rid - n], n, words, edges, l
         )
-    root = nodes[dag.root_id].elements
     seeds = [
         _crossing_windows(root[start:end], n, words, edges, l)[1]
-        for start, end in segments
+        for start, end in spans
     ]
-    return _push_down(dag, crossing, segments, seeds)
+    tables = dict(zip(windowed, _push_down(dag, crossing, spans, seeds)))
+    return [tables.get(index, Counter()) for index in range(len(segments))]
 
 
-def gram_counts(tables: list[Counter]) -> list[dict[str, int]]:
-    """Per file: {gram: count} sorted by gram, from name-keyed tables."""
+def gram_counts(tables: Iterable[Counter]) -> list[dict[str, int]]:
+    """Per file: {gram: count} sorted by gram, from name-keyed tables in
+    file order."""
     return [{gram: table[gram] for gram in sorted(table)} for table in tables]
 
 
@@ -551,9 +588,10 @@ def ranked_inverted_index(
     )
 
 
-def rank_gram_files(tables: list[Counter]) -> dict[str, list[tuple[int, int]]]:
+def rank_gram_files(tables: Iterable[Counter]) -> dict[str, list[tuple[int, int]]]:
     """Per gram: (file, count) by count descending, ties by file, from the
-    name-keyed tables of `_gram_tables`, where same-name grams are summed.
+    name-keyed tables of `_gram_tables` in file order, where same-name
+    grams are summed. Each table is dropped once merged.
 
     Postings share one (file, count) tuple per distinct count in a file:
     most grams occur once in their file, so a file's postings need only a

@@ -140,11 +140,11 @@ def run_parallel(
     if task in ORDER_SENSITIVE:
         if l < 2:
             raise ValueError(f"sequence length must be >= 2, got {l}")
-        count_runs = partial(kernels._count_gram_runs, dictionary.words, l)
+        count_run = partial(kernels._count_gram_run, dictionary.words, l)
         # a section's l-gram windows run up to l-1 tokens past its end
         overlap = l - 1
     else:
-        count_runs = kernels._count_code_runs
+        count_run = Counter
         overlap = 0
     plan = plan_partitions([len(codes) for codes in file_codes], n_workers)
     partitions = [
@@ -154,9 +154,10 @@ def run_parallel(
     ]
 
     def work(sections):
-        return count_runs(
-            file_codes[s.file_id][s.start : s.end + overlap] for s in sections
-        )
+        return [
+            count_run(file_codes[s.file_id][s.start : s.end + overlap])
+            for s in sections
+        ]
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         partials = list(pool.map(work, partitions))

@@ -532,7 +532,9 @@ def test_compress_rejects_a_repeated_file_name(capsys, tmp_path):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("name", ["a,b", "c\td", "e\rf", "g\nh"])
+@pytest.mark.parametrize(
+    "name", ["a,b", "c\td", "e\rf", "g\nh", "i\vj", "k\x85l", "m\u2028n"]
+)
 @pytest.mark.parametrize("command", ["compress", "baseline", "gzip"])
 def test_file_names_that_split_tsv_fields_are_corpus_errors(
     capsys, tmp_path, command, name

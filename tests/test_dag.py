@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_dag, random_corpus
 from tadoc.dag import coarsen, load_merge_graph, node_frequencies
-from tadoc.sequitur import Grammar, GrammarError, expand
+from tadoc.sequitur import Grammar, GrammarError, expand, expansions
 
 
 REF_FILES = [("f0", "a b c a b d a b c a b d a b a")]
@@ -196,6 +196,11 @@ def test_load_counts_the_words_of_the_expansion(grammar):
     dag = load_merge_graph(grammar)
     symbols = expand(grammar)
     assert dag.total_tokens == sum(sym < grammar.n_words for sym in symbols)
+    n = grammar.n_terminals
+    # a rule other than the root holds no separator: its expansion is all words
+    memo = expansions(grammar.rules, n, cap=10**9)
+    for rid in range(n + 1, n + len(grammar.rules)):
+        assert dag.lengths[rid] == len(memo[rid])
     separators = grammar.n_terminals - grammar.n_words
     if separators:
         assert dag.file_count == separators

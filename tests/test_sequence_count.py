@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -44,11 +45,11 @@ def both_path_tables(dag, words, l=None):
     assert list(runs) == list(range(dag.file_count))
     if l is None:
         return [
-            kernels._count_code_runs(runs.values()),
+            list(map(Counter, runs.values())),
             kernels._push_code_counts(dag, dag.segments),
         ]
     return [
-        kernels._count_gram_runs(words, l, runs.values()),
+        [kernels._count_gram_run(words, l, run) for run in runs.values()],
         kernels._push_gram_tables(dag, words, l, dag.segments),
     ]
 
@@ -346,3 +347,56 @@ def test_a_window_longer_than_every_file_costs_no_memory():
             tracemalloc.stop()
         assert got == expected
         assert peak < 1 << 20
+
+
+def test_a_window_longer_than_the_text_reads_no_rule():
+    # a 2^16-token doubling grammar: no segment holds 10^9 words, so no rule
+    # gets an edge summary, which would hold its whole expansion
+    depth = 16
+    n = 3  # a, b and one file separator
+    rules = [[n + depth, 2], [0, 1]]
+    rules += [[n + i, n + i] for i in range(1, depth)]
+    dag = load_merge_graph(parents_first(Grammar(n, 2, rules)))
+    dictionary = Dictionary(["a", "b"], 1)
+    assert dag.total_tokens == 2**depth
+    for task, expected in (("sequence_count", [{}]), ("ranked_inverted_index", {})):
+        tracemalloc.start()
+        try:
+            got = kernels.run_task(task, dag, dictionary, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected, task
+        assert peak < 1 << 20, task
+
+
+def _short_files(seed, count=400):
+    """`count` files of 32-128 words over 3000, every other one drawn from
+    a pool of 60 sentences."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(3000)]
+    pool = [" ".join(rng.choices(vocab, k=rng.randint(8, 16))) for _ in range(60)]
+    files = []
+    for index in range(count):
+        sentences = []
+        for _ in range(rng.randint(4, 8)):
+            fresh = " ".join(rng.choices(vocab, k=rng.randint(8, 16)))
+            sentences.append(rng.choice(pool) if index % 2 else fresh)
+        files.append((f"f{index}", " ".join(sentences)))
+    return files
+
+
+def test_ranked_index_holds_one_file_table_at_a_time():
+    # the per-file tables are merged as they are counted: the kernel's peak
+    # stays near what its result holds
+    dictionary, _, dag = build_dag(_short_files(5))
+    assert len(kernels._short_runs(dag)) == dag.file_count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = kernels.ranked_inverted_index(dag, dictionary, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result
+    assert peak - before < 1.5 * (held - before)
