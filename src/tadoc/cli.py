@@ -24,6 +24,7 @@ from .corpus import CorpusError, decode_stream, encode_corpus, tokenize
 from .container import (
     ContainerError,
     FeatureMismatchError,
+    check_file_names,
     load_container,
     read_header,
     write_container,
@@ -41,12 +42,6 @@ def _log(message: str) -> None:
 
 
 # -- input collection ------------------------------------------------------------
-
-
-# TSV output separates fields by tabs, rows by line breaks and the files of
-# an inverted-index row by commas. The breaks are every character that
-# `str.splitlines` splits at.
-_TSV_BREAKS = frozenset(",\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, str]]:
@@ -77,13 +72,9 @@ def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, 
             pairs.append((path, path))
     if not pairs:
         raise CorpusError("no input files")
-    for name, _ in pairs:
-        if not _TSV_BREAKS.isdisjoint(name):
-            raise CorpusError(
-                f"file name {name!r} holds a comma, tab or line break, which "
-                "would split the fields of TSV output"
-            )
-    _check_names([name for name, _ in pairs], CorpusError)
+    names = [name for name, _ in pairs]
+    check_file_names(names, CorpusError)
+    _check_names(names, CorpusError)
     return pairs
 
 
@@ -284,7 +275,7 @@ def cmd_decompress(args) -> int:
         if os.path.isabs(name) or ".." in name.split(os.sep):
             raise ContainerError(f"unsafe file name in container: {name!r}")
     _check_names(names, ContainerError)
-    decoded = decode_stream(expand(dag.grammar()), dictionary)
+    decoded = decode_stream(expand(dag), dictionary)
     for (_, tokens), entry in zip(decoded, header.file_table):
         if len(tokens) != entry.token_count:
             raise FeatureMismatchError(
@@ -327,6 +318,11 @@ def _analyze(args) -> int:
     state, names = _init(args.engine, pairs, _read(pairs), args.lowercase)
     if args.engine == "cd":
         _log_variant(state[2])
+        if args.output == "tsv":
+            try:
+                check_file_names(names, ContainerError)
+            except ContainerError as exc:
+                raise ContainerError(f"{exc}; use --output json") from None
     result = _compute(args.engine, task, state, args.l, args.top_k)
     _emit(task, result, names, args.output)
     return 0

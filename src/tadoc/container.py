@@ -49,6 +49,11 @@ _HEADER = struct.Struct("<5I")
 _NAME_SEP = "\0"
 _WORD_SEP = "\n"
 
+# TSV output separates fields by tabs, rows by line breaks and the files of
+# an inverted-index row by commas. The breaks are every character that
+# `str.splitlines` splits at.
+_TSV_BREAKS = frozenset(",\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
+
 _UINT32 = "I"
 assert array(_UINT32).itemsize == 4, "array typecode 'I' must be 4 bytes wide"
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -159,6 +164,21 @@ def _read_blob(
 # -- writing -------------------------------------------------------------------
 
 
+def check_file_names(names: list[str], error: type[Exception]) -> None:
+    """Raise `error` unless each name is UTF-8 text that holds no comma, tab
+    or line break, which would split the fields of TSV output."""
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise error(f"file name {name!r} is not valid UTF-8") from None
+        if not _TSV_BREAKS.isdisjoint(name):
+            raise error(
+                f"file name {name!r} holds a comma, tab or line break, which "
+                "would split the fields of TSV output"
+            )
+
+
 def build_payload(
     dictionary: Dictionary, grammar: Grammar, file_table: list[FileEntry]
 ) -> bytes:
@@ -196,6 +216,7 @@ def write_container(
         raise ContainerError("dictionary and grammar disagree on terminal count")
     if dictionary.separator_count != len(file_table):
         raise ContainerError("file table does not match separator count")
+    check_file_names([e.name for e in file_table], ContainerError)
     payload = build_payload(dictionary, grammar, file_table)
     flags = FLAG_DEFLATE if deflate else 0
     if deflate:

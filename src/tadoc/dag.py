@@ -1,77 +1,41 @@
-"""In-memory analytic view of a grammar.
+"""The loaded grammar: a checked `Grammar` with what the kernels read.
 
-The DAG holds the rule bodies as the grammar stores them, parents first,
-and by symbol the number of words it expands to (`Dag.lengths`). The
-separator codes' positions in the root body delimit the per-file segments.
-Kernels read the bodies directly. `Dag.nodes`, per-rule tables of terminal
-counts and child multiplicities, is built on first use; no job reads it.
+A `Dag` is the grammar whose structure `load_merge_graph` has checked. Its
+rule bodies are the grammar's, parents first; it adds, by symbol, the
+number of words it expands to (`Dag.lengths`), and the per-file spans of
+the root body that the separator codes delimit (`Dag.segments`). Kernels
+read the bodies directly; no per-rule count table is built.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 from .sequitur import Grammar, GrammarError
 
 
-@dataclass(slots=True)
-class Node:
-    """One grammar rule with its merged-edge tables, in first-seen order."""
-
-    elements: list[int]
-    term_counts: dict[int, int]
-    child_counts: dict[int, int]
-
-
 @dataclass
-class Dag:
-    n_terminals: int
-    n_words: int
-    # rule bodies in rule-id order: root first, parents before children;
-    # rule rid is rules[rid - n_terminals]
-    rules: list[list[int]]
+class Dag(Grammar):
     # by symbol, the words it expands to: a word 1, a separator 0
     lengths: list[int]
     segments: list[tuple[int, int]]  # root-body span per file, separator excluded
-
-    @property
-    def root_id(self) -> int:
-        return self.n_terminals
 
     @property
     def total_tokens(self) -> int:
         """Words in the expansion, separators excluded."""
         return self.lengths[self.n_terminals]
 
-    def is_rule(self, symbol: int) -> bool:
-        return symbol >= self.n_terminals
-
     @property
     def file_count(self) -> int:
         return len(self.segments)
 
-    def grammar(self) -> Grammar:
-        """The rules as a Grammar again; it shares the body lists."""
-        return Grammar(self.n_terminals, self.n_words, self.rules)
-
-    @cached_property
-    def nodes(self) -> dict[int, Node]:
-        """Rule id -> Node, in rule-id order; built on first use."""
-        n, n_words = self.n_terminals, self.n_words
-        nodes = {}
-        for rid, body in enumerate(self.rules, n):
-            term_counts: dict[int, int] = {}
-            child_counts: dict[int, int] = {}
-            for sym, count in Counter(body).items():
-                if sym >= n:
-                    child_counts[sym] = count
-                elif sym < n_words:
-                    term_counts[sym] = count
-            nodes[rid] = Node(body, term_counts, child_counts)
-        return nodes
+    @property
+    def nodes(self) -> dict[int, list[int]]:
+        """Rule id -> body, in rule-id order. No job reads it: it stays for
+        `perfbench/run.py`, which reports its length as the `dag.nodes` and
+        `dag.coarse_nodes` counts."""
+        return dict(enumerate(self.rules, self.n_terminals))
 
 
 def load_merge_graph(grammar: Grammar) -> Dag:
@@ -218,23 +182,7 @@ def coarsen(dag: Dag, threshold: int = 100) -> Dag:
     # order stays parents first
     survivors = sorted(final)
     mapping = {rid: n + i for i, rid in enumerate(survivors)}
-    bodies = []
-    for rid in survivors:
-        bodies.append(
-            [mapping.get(sym, sym) if sym >= n else sym for sym in final[rid]]
-        )
+    # terminals are below n, so none is a key of `mapping`
+    bodies = [[mapping.get(sym, sym) for sym in final[rid]] for rid in survivors]
     return load_merge_graph(Grammar(n, dag.n_words, bodies))
 
-
-def node_frequencies(dag: Dag) -> dict[int, int]:
-    """Occurrences of each rule in the full expansion (root has 1)."""
-    n = dag.n_terminals
-    freq = dict.fromkeys(range(n, n + len(dag.rules)), 0)
-    freq[n] = 1
-    # parents first: a rule's frequency is complete when its turn comes
-    for rid, body in enumerate(dag.rules, n):
-        f = freq[rid]
-        for sym in body:
-            if sym >= n:
-                freq[sym] += f
-    return freq

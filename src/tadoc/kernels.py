@@ -341,7 +341,7 @@ def _push_down(
     `own` holds a table for each rule the segments reach (`_reached`),
     children first. Frequencies are pushed down, parents first, only
     through the rules a segment reaches; rules with nothing to count in
-    their expansion are skipped, so no loop runs over all of `dag.nodes`
+    their expansion are skipped, so no loop runs over all of `dag.rules`
     per file. The seed tables are added to in place and returned.
     """
     n = dag.n_terminals

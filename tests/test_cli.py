@@ -559,6 +559,51 @@ def test_file_names_that_split_tsv_fields_are_corpus_errors(
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["compress", "bench"])
+def test_file_names_that_are_not_utf8_are_corpus_errors(capsys, tmp_path, command):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ok.txt").write_text("x y\n")
+    with open(os.path.join(os.fsencode(corpus), b"\xffx.txt"), "wb") as handle:
+        handle.write(b"y z\n")
+    out_path = tmp_path / "c.tdoc"
+    if command == "compress":
+        argv = ["compress", str(corpus), "--out", str(out_path)]
+    else:
+        argv = ["bench", str(corpus), "word-count", "--repeat", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, repr(os.fsdecode(b"\xffx.txt")) in err) == (4, "", True)
+    assert not out_path.exists()
+
+
+def _container_named(tmp_path, names):
+    """A container of one small file per name, written without the writer's
+    name check, as earlier writers wrote them."""
+    from conftest import reseal
+    from tadoc.container import MAGIC, VERSION, build_payload
+    from tadoc.corpus import encode_corpus
+    from tadoc.sequitur import infer_grammar
+
+    files = [(name, f"w{i} y") for i, name in enumerate(names)]
+    dictionary, encoded = encode_corpus(files)
+    grammar = infer_grammar(encoded.symbols, dictionary.n_total, dictionary.word_count)
+    payload = build_payload(dictionary, grammar, encoded.file_table)
+    path = tmp_path / "named.tdoc"
+    path.write_bytes(reseal(MAGIC + bytes([VERSION, 0]) + bytes(10) + payload))
+    return path
+
+
+@pytest.mark.parametrize("task", ["inverted-index", "term-vector", "tfidf"])
+def test_tsv_output_refuses_names_that_split_its_fields(capsys, tmp_path, task):
+    path = _container_named(tmp_path, ["a,b", "c\td"])
+    code, out, err = run(capsys, ["analyze", str(path), task])
+    assert (code, out) == (3, "")
+    assert repr("a,b") in err and "--output json" in err
+    # JSON quotes every name
+    code, out, _ = run(capsys, ["analyze", str(path), task, "--output", "json"])
+    assert (code, json.loads(out)["files"]) == (0, ["a,b", "c\td"])
+
+
 @pytest.mark.parametrize(
     "names",
     [("x.txt", "x.txt"), ("", "y"), (".", "y"), ("d", "d/x")],

@@ -166,6 +166,11 @@ def test_writer_rejects_what_the_layout_cannot_hold():
     nul = [FileEntry("f\0", table[0].token_count), table[1]]
     with pytest.raises(C.ContainerError, match="file name contains"):
         C.write_container(dictionary, grammar, nul)
+    # names that would split TSV fields or rows, or that are not UTF-8
+    for name in ("a,b", "c\td", "g\nh", "m\u2028n", "\udcffx"):
+        named = [FileEntry(name, table[0].token_count), table[1]]
+        with pytest.raises(C.ContainerError, match="file name"):
+            C.write_container(dictionary, grammar, named)
 
     rules = [list(body) for body in grammar.rules]
     rules[-1].append(2**32)

@@ -5,34 +5,44 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_dag, random_corpus
-from tadoc.dag import coarsen, load_merge_graph, node_frequencies
-from tadoc.sequitur import Grammar, GrammarError, expand, expansions
+from tadoc import kernels
+from tadoc.corpus import encode_corpus
+from tadoc.dag import coarsen, load_merge_graph
+from tadoc.sequitur import Grammar, GrammarError, expand, expansions, infer_grammar
 
 
 REF_FILES = [("f0", "a b c a b d a b c a b d a b a")]
 
 
-def dag_to_grammar(dag):
-    bodies = [dag.nodes[rid].elements for rid in sorted(dag.nodes)]
-    return Grammar(dag.n_terminals, dag.n_words, bodies)
+def test_the_loaded_dag_is_the_checked_grammar():
+    rng = random.Random(12)
+    for _ in range(20):
+        dictionary, encoded = encode_corpus(random_corpus(rng))
+        grammar = infer_grammar(
+            encoded.symbols, dictionary.n_total, dictionary.word_count
+        )
+        dag = load_merge_graph(grammar)
+        assert isinstance(dag, Grammar)
+        assert dag.rules is grammar.rules
+        assert (dag.n_terminals, dag.n_words) == (grammar.n_terminals, grammar.n_words)
+        assert expand(dag) == encoded.symbols
+        # `perfbench/run.py` counts rules as len(dag.nodes)
+        assert dag.nodes == dict(enumerate(grammar.rules, grammar.n_terminals))
 
 
 def test_merged_tables_on_reference_grammar():
+    # the paper's merged table of a rule is its body counted: words by code,
+    # child rules by multiplicity
     dictionary, encoded, dag = build_dag(REF_FILES)
-    root = dag.nodes[dag.root_id]
-    # root: a * 1 plus two children (one referenced twice, one once);
-    # the separator is excluded from the terminal counts.
-    assert dict(root.term_counts) == {0: 1}
-    assert sorted(root.child_counts.values()) == [1, 2]
-    (pair_id,) = [rid for rid, n in dag.nodes.items() if n.elements == [0, 1]]
-    (mid_id,) = [
-        rid for rid, n in dag.nodes.items() if rid not in (dag.root_id, pair_id)
-    ]
-    mid = dag.nodes[mid_id]
-    assert dict(mid.term_counts) == {2: 1, 3: 1}
-    assert dict(mid.child_counts) == {pair_id: 2}
-    assert root.child_counts[mid_id] == 2
-    assert root.child_counts[pair_id] == 1
+    n = dag.n_terminals
+    assert len(dag.rules) == 3
+    (pair_id,) = [rid for rid, body in enumerate(dag.rules, n) if body == [0, 1]]
+    (mid_id,) = {n + 1, n + 2} - {pair_id}
+    # root: a * 1 plus two children (one referenced twice, one once) and the
+    # separator
+    assert Counter(dag.body(n)) == {mid_id: 2, pair_id: 1, 0: 1, dag.n_words: 1}
+    assert Counter(dag.body(mid_id)) == {pair_id: 2, 2: 1, 3: 1}
+    assert [dag.lengths[rid] for rid in (n, mid_id, pair_id)] == [15, 6, 2]
     # root body is [mid, mid, pair, a, separator]: one segment before the separator
     assert dag.segments == [(0, 4)]
 
@@ -40,7 +50,7 @@ def test_merged_tables_on_reference_grammar():
 def test_single_rule_loc_table():
     grammar = Grammar(2, 2, [[0, 0, 1]])
     dag = load_merge_graph(grammar)
-    assert dict(dag.nodes[dag.root_id].term_counts) == {0: 2, 1: 1}
+    assert (dag.rules, dag.total_tokens) == ([[0, 0, 1]], 3)
     assert dag.segments == [(0, 3)]
 
 
@@ -85,47 +95,12 @@ def test_negative_symbols_are_rejected():
                 load_merge_graph(Grammar(n, n_words, rules))
 
 
-def test_child_counts_match_brute_force_parent_scan():
-    rng = random.Random(31)
-    for _ in range(40):
-        dictionary, encoded, dag = build_dag(random_corpus(rng))
-        # merged view loses only order
-        for node in dag.nodes.values():
-            ordered = Counter(
-                sym for sym in node.elements if dag.is_rule(sym)
-            )
-            assert ordered == node.child_counts
-
-
-def test_merged_tables_are_counts_in_first_seen_order():
-    rng = random.Random(33)
-    n_words, n = 6, 7  # one separator code
-    for root_length in (3, 16, 17, 200):
-        rules = [
-            [rng.randrange(n_words) for _ in range(length)] for length in (2, 16, 17, 40)
-        ]
-        root = [
-            rng.choice([rng.randrange(n_words), n + rng.randrange(1, 5)])
-            for _ in range(root_length)
-        ]
-        root += [n + index for index in range(1, 5)] + [n_words]
-        dag = load_merge_graph(Grammar(n, n_words, [root] + rules))
-        for index, body in enumerate([root] + rules):
-            node = dag.nodes[n + index]
-            counts = list(Counter(body).items())
-            words = [(sym, c) for sym, c in counts if sym < n_words]
-            children = [(sym, c) for sym, c in counts if sym >= n]
-            assert list(node.term_counts.items()) == words
-            assert list(node.child_counts.items()) == children
-
-
 def test_coarsen_inlines_everything_small():
     dictionary, encoded, dag = build_dag(REF_FILES)
     flat = coarsen(dag, threshold=100)
-    assert len(flat.nodes) == 1
-    root = flat.nodes[flat.root_id]
-    assert len(root.elements) == 16  # 15 words + 1 separator
-    assert [s for s in root.elements if s < flat.n_words] == encoded.symbols[:-1]
+    (root,) = flat.rules
+    assert len(root) == 16  # 15 words + 1 separator
+    assert [s for s in root if s < flat.n_words] == encoded.symbols[:-1]
     assert flat.segments == [(0, 15)]
 
 
@@ -133,35 +108,27 @@ def test_coarsen_zero_threshold_is_identity():
     rng = random.Random(13)
     dictionary, encoded, dag = build_dag(random_corpus(rng))
     same = coarsen(dag, threshold=0)
-    assert {r: n.elements for r, n in same.nodes.items()} == {
-        r: n.elements for r, n in dag.nodes.items()
-    }
+    assert same.rules == dag.rules
 
 
 def test_coarsen_preserves_expansion():
     rng = random.Random(14)
     for _ in range(30):
         dictionary, encoded, dag = build_dag(random_corpus(rng))
-        reference = expand(dag_to_grammar(dag))
+        reference = expand(dag)
         for threshold in (2, 5, 40, 10_000):
             squeezed = coarsen(dag, threshold)
-            assert expand(dag_to_grammar(squeezed)) == reference
-            for rid, node in squeezed.nodes.items():
-                if rid != squeezed.root_id:
-                    assert len(node.elements) >= threshold
+            assert expand(squeezed) == reference
+            assert all(len(body) >= threshold for body in squeezed.rules[1:])
 
 
 def test_frequency_conservation():
     rng = random.Random(15)
     for _ in range(30):
         dictionary, encoded, dag = build_dag(random_corpus(rng))
-        freq = node_frequencies(dag)
-        assert freq[dag.root_id] == 1
-        total = sum(
-            freq[rid] * sum(node.term_counts.values())
-            for rid, node in dag.nodes.items()
-        )
-        assert total == encoded.total_tokens
+        # each body counted times its rule's frequency, parents first
+        counts = kernels.word_count_preorder(dag, dictionary)
+        assert sum(counts.values()) == encoded.total_tokens
         assert dag.total_tokens == encoded.total_tokens
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import build_dag, random_corpus, traversal_index
 from tadoc import kernels, oracle
-from tadoc.dag import node_frequencies
 
 REF_FILES = [("f0", "a b c a b d a b c a b d a b a")]
 
@@ -18,52 +17,30 @@ def test_word_count_reference_values():
     assert kernels.word_count_preorder(dag, dictionary) == expected
 
 
-def test_preorder_frequencies_reference_values():
-    dictionary, _, dag = build_dag(REF_FILES)
-    freq = node_frequencies(dag)
-    by_body = {tuple(dag.nodes[rid].elements): freq[rid] for rid in dag.nodes}
-    assert by_body[(0, 1)] == 5  # the two-word rule occurs five times
-    assert freq[dag.root_id] == 1
-    mid = [f for body, f in by_body.items() if len(body) == 4 and body != (0, 1)]
-    assert mid == [2]
-
-
 def test_single_token_corpus():
     dictionary, _, dag = build_dag([("f0", "x")])
     assert kernels.word_count_postorder(dag, dictionary) == {"x": 1}
 
 
 def test_chain_frequencies_are_one():
-    # one file, no repetition: the root is the only rule
+    # one file, no repetition: the root is the only rule, read once
     dictionary, _, dag = build_dag([("f0", "p q r s t")])
-    freq, order = node_frequencies(dag), list(dag.nodes)
-    assert all(f == 1 for f in freq.values())
-    assert order == [dag.root_id]
+    assert len(dag.rules) == 1
+    assert kernels.word_count_preorder(dag, dictionary) == dict.fromkeys("pqrst", 1)
 
 
 def test_work_queue_gate():
     rng = random.Random(123)
     for _ in range(30):
-        dictionary, _, dag = build_dag(random_corpus(rng))
-        freq, order = node_frequencies(dag), list(dag.nodes)
-        # every node listed exactly once
-        assert sorted(order) == sorted(dag.nodes)
-        # a node is listed only after every parent: parents first
-        position = {rid: i for i, rid in enumerate(order)}
-        for rid, node in dag.nodes.items():
-            for child in node.child_counts:
-                assert position[rid] < position[child]
-        # gate arithmetic: freq(c) == sum over parents of freq(p) * multiplicity
-        for rid, node in dag.nodes.items():
-            if rid == dag.root_id:
-                assert freq[rid] == 1
-                continue
-            total = sum(
-                freq[pid] * parent.child_counts[rid]
-                for pid, parent in dag.nodes.items()
-                if rid in parent.child_counts
-            )
-            assert freq[rid] == total
+        dictionary, encoded, dag = build_dag(random_corpus(rng))
+        # rule-id order is the work queue: a rule comes after every parent
+        for rid, body in enumerate(dag.rules, dag.n_terminals):
+            assert all(rid < sym for sym in body if dag.is_rule(sym)), rid
+        # so each rule's frequency is complete when its turn comes
+        words = Counter(
+            dictionary.words[code] for code in encoded.symbols if code < dag.n_words
+        )
+        assert kernels.word_count_preorder(dag, dictionary) == dict(words)
 
 
 def test_sort_words_reference():

@@ -146,7 +146,7 @@ def test_file_that_is_one_rule_occurrence():
     files = [("f0", "p q r s t"), ("f1", "p q r s t"), ("f2", "t p q r s t p")]
     dictionary, _, dag = build_dag(files)
     start, end = dag.segments[1]
-    segment = dag.nodes[dag.root_id].elements[start:end]
+    segment = dag.body(dag.root_id)[start:end]
     assert len(segment) == 1 and dag.is_rule(segment[0])
     assert_exact(files)
 
@@ -274,15 +274,15 @@ def test_one_long_file_pays_only_for_the_rules_it_reaches(monkeypatch):
     dictionary, _, dag = build_dag(files)
     assert list(kernels._short_runs(dag)) == list(range(8))
     start, end = dag.segments[8]
-    root = dag.nodes[dag.root_id].elements
+    root = dag.body(dag.root_id)
     reached = {sym for sym in root[start:end] if dag.is_rule(sym)}
     stack = list(reached)
     while stack:
-        for child in dag.nodes[stack.pop()].child_counts:
-            if child not in reached:
+        for child in dag.body(stack.pop()):
+            if dag.is_rule(child) and child not in reached:
                 reached.add(child)
                 stack.append(child)
-    assert 0 < len(reached) < len(dag.nodes) - 1
+    assert 0 < len(reached) < len(dag.rules) - 1
 
     calls = []
     crossing_windows = kernels._crossing_windows
@@ -308,11 +308,11 @@ def test_rule_over_the_cap_is_never_expanded(monkeypatch):
         ("f3", "c a b c"),
     ]
     _, _, dag = build_dag(files)
-    root = dag.nodes[dag.root_id].elements
+    root = dag.body(dag.root_id)
     (rule,) = root[slice(*dag.segments[1])]
     assert root[slice(*dag.segments[2])] == [rule]
     assert list(kernels._short_runs(dag)) == [0, 3]
-    assert expansions(dag.grammar().rules, dag.n_terminals, EXPANSION_CAP)[rule] is None
+    assert expansions(dag.rules, dag.n_terminals, EXPANSION_CAP)[rule] is None
 
     built = []
 

@@ -99,3 +99,29 @@ def test_every_analyze_job_records_its_layer_spans(capsys, tmp_path):
             KERNEL_SPANS[task], "cli._emit",
         }
         assert expected <= names, task
+
+
+def test_benchmark_dag_counts_are_rule_counts():
+    """`perfbench/run.py --trace 1` reports `len(dag.nodes)` of the loaded
+    DAG and of `coarsen(dag, 100)` as its `dag.nodes` and `dag.coarse_nodes`
+    rows: one per rule."""
+    import random
+
+    from conftest import random_corpus, repetitive_corpus
+    from tadoc.container import read_container, write_container
+    from tadoc.corpus import encode_corpus
+    from tadoc.dag import coarsen, load_merge_graph
+    from tadoc.sequitur import infer_grammar
+
+    corpora = [random_corpus(random.Random(seed)) for seed in range(5)]
+    corpora.append(repetitive_corpus(3, 20_000))
+    for files in corpora:
+        dictionary, encoded = encode_corpus(files)
+        grammar = infer_grammar(
+            encoded.symbols, dictionary.n_total, dictionary.word_count
+        )
+        blob = write_container(dictionary, grammar, encoded.file_table)
+        loaded = load_merge_graph(read_container(blob)[1])
+        assert len(loaded.nodes) == len(loaded.rules) == len(grammar.rules)
+        coarse = coarsen(loaded, 100)
+        assert len(coarse.nodes) == len(coarse.rules) >= 1
