@@ -26,6 +26,7 @@ from .container import (
     FeatureMismatchError,
     check_file_names,
     load_container,
+    output_paths,
     read_header,
     write_container,
 )
@@ -44,13 +45,20 @@ def _log(message: str) -> None:
 # -- input collection ------------------------------------------------------------
 
 
-def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, str]]:
-    """(display name, filesystem path) pairs, deterministic order."""
+def _collect_paths(
+    inputs: list[str], file_list: str | None, out: str = ""
+) -> list[tuple[str, str]]:
+    """(display name, filesystem path) pairs, deterministic order. A directory
+    walk leaves out the file at `out`'s real path, so a container written
+    into its own corpus is not read back as text on the next run."""
+    out_dir, out_name = os.path.split(os.path.realpath(out)) if out else ("", "")
     pairs: list[tuple[str, str]] = []
     for item in inputs:
         if os.path.isdir(item):
             for root, dirnames, filenames in os.walk(item):
                 dirnames.sort()
+                if out_name in filenames and os.path.realpath(root) == out_dir:
+                    filenames.remove(out_name)
                 for filename in sorted(filenames):
                     path = os.path.join(root, filename)
                     pairs.append((os.path.relpath(path, item), path))
@@ -74,24 +82,8 @@ def _collect_paths(inputs: list[str], file_list: str | None) -> list[tuple[str, 
         raise CorpusError("no input files")
     names = [name for name, _ in pairs]
     check_file_names(names, CorpusError)
-    _check_names(names, CorpusError)
+    output_paths(names, CorpusError)
     return pairs
-
-
-def _check_names(names: list[str], error: type[Exception]) -> None:
-    """Raise `error` unless each name, normalized, makes a file path of its
-    own: not ".", not another name's path, not a directory of one."""
-    paths = [os.path.normpath(name) for name in names]
-    dirs = {
-        os.sep.join(parts[:i])
-        for parts in (path.split(os.sep) for path in paths)
-        for i in range(1, len(parts))
-    }
-    seen: set[str] = set()
-    for name, path in zip(names, paths):
-        if path == "." or path in seen or path in dirs:
-            raise error(f"file name {name!r} is empty, repeated or another's directory")
-        seen.add(path)
 
 
 def _decode(path: str, raw: bytes) -> str:
@@ -242,8 +234,10 @@ def _compress(pairs, out: str, lowercase: bool = False, deflate: bool = True):
     Returns the dictionary, the encoded corpus, the grammar and the
     container's bytes.
     """
-    files = [(name, _read_text(path)) for name, path in pairs]
-    dictionary, encoded = encode_corpus(files, lowercase)
+    # the texts live only through the encode, not through inference
+    dictionary, encoded = encode_corpus(
+        [(name, _read_text(path)) for name, path in pairs], lowercase
+    )
     grammar = infer_grammar(encoded.symbols, dictionary.n_total, dictionary.word_count)
     blob = write_container(dictionary, grammar, encoded.file_table, deflate=deflate)
     with open(out, "wb") as handle:
@@ -252,14 +246,14 @@ def _compress(pairs, out: str, lowercase: bool = False, deflate: bool = True):
 
 
 def cmd_compress(args) -> int:
-    pairs = _collect_paths(args.inputs, args.file_list)
+    pairs = _collect_paths(args.inputs, args.file_list, args.out)
     dictionary, encoded, grammar, blob = _compress(
         pairs, args.out, args.lowercase, deflate=not args.no_deflate
     )
     if args.dump_dict:
         with open(args.dump_dict, "w", encoding="utf-8") as handle:
-            for line in dictionary.dump_lines():
-                handle.write(line + "\n")
+            for code, word in enumerate(dictionary.words):
+                handle.write(f"{code}\t{word}\n")
     _log(
         f"compressed {len(pairs)} files, {encoded.total_tokens} tokens, "
         f"vocabulary {dictionary.word_count}, {len(grammar.rules)} rules "
@@ -270,11 +264,7 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     dictionary, dag, header = load_container(_read_bytes(args.container))
-    names = [entry.name for entry in header.file_table]
-    for name in names:
-        if os.path.isabs(name) or ".." in name.split(os.sep):
-            raise ContainerError(f"unsafe file name in container: {name!r}")
-    _check_names(names, ContainerError)
+    paths = output_paths([entry.name for entry in header.file_table], ContainerError)
     decoded = decode_stream(expand(dag), dictionary)
     for (_, tokens), entry in zip(decoded, header.file_table):
         if len(tokens) != entry.token_count:
@@ -282,10 +272,9 @@ def cmd_decompress(args) -> int:
                 f"file {entry.name!r} holds {len(tokens)} tokens, the file table "
                 f"says {entry.token_count}"
             )
-    os.makedirs(args.out, exist_ok=True)
-    for (_, tokens), name in zip(decoded, names):
-        path = os.path.join(args.out, os.path.normpath(name))
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    for (_, tokens), path in zip(decoded, paths):
+        path = os.path.join(args.out, path)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(" ".join(tokens))
             if tokens:

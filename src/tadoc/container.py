@@ -26,6 +26,7 @@ anyway; `load_container` runs the read and then that load.
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 import sys
 import zlib
@@ -179,6 +180,25 @@ def check_file_names(names: list[str], error: type[Exception]) -> None:
             )
 
 
+def output_paths(names: list[str], error: type[Exception]) -> list[str]:
+    """Each name's path under `decompress --out`: the normalized name less its
+    root anchor and leading ".." parts, as tar extracts. Raise `error` unless
+    every path is non-empty, is no other name's and is no name's directory."""
+    # below a root, normpath drops the ".." parts that would climb above it
+    paths = [os.path.normpath(os.sep + name).lstrip(os.sep) for name in names]
+    dirs = {
+        os.sep.join(parts[:i])
+        for parts in (path.split(os.sep) for path in paths)
+        for i in range(1, len(parts))
+    }
+    seen: set[str] = set()
+    for name, path in zip(names, paths):
+        if not path or path in seen or path in dirs:
+            raise error(f"file name {name!r} has no output path of its own: {path!r}")
+        seen.add(path)
+    return paths
+
+
 def build_payload(
     dictionary: Dictionary, grammar: Grammar, file_table: list[FileEntry]
 ) -> bytes:
@@ -216,7 +236,9 @@ def write_container(
         raise ContainerError("dictionary and grammar disagree on terminal count")
     if dictionary.separator_count != len(file_table):
         raise ContainerError("file table does not match separator count")
-    check_file_names([e.name for e in file_table], ContainerError)
+    names = [e.name for e in file_table]
+    check_file_names(names, ContainerError)
+    output_paths(names, ContainerError)
     payload = build_payload(dictionary, grammar, file_table)
     flags = FLAG_DEFLATE if deflate else 0
     if deflate:

@@ -9,7 +9,9 @@ codes sit above the word codes: words occupy [0, word_count), separators
 
 from __future__ import annotations
 
+import itertools
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -60,18 +62,8 @@ class Dictionary:
     def code_for(self, word: str) -> int:
         return self.codes[word]
 
-    def word_for(self, code: int) -> str:
-        if code >= len(self.words):
-            raise MalformedStreamError(f"code {code} is not a word code")
-        return self.words[code]
-
     def is_separator(self, code: int) -> bool:
         return len(self.words) <= code < self.n_total
-
-    def dump_lines(self):
-        """`code<TAB>word` lines for the optional dictionary dump."""
-        for code, word in enumerate(self.words):
-            yield f"{code}\t{word}"
 
 
 @dataclass
@@ -97,39 +89,33 @@ def encode_corpus(
 ) -> tuple[Dictionary, EncodedCorpus]:
     """Tokenize files in order and dictionary-encode them into one stream.
 
-    Word codes are assigned in first-appearance order across the corpus;
-    a fresh separator code follows every file.
+    One pass: each file's tokens are coded straight into the stream, in
+    first-appearance order across the corpus, and dropped before the next
+    file is tokenized. A placeholder follows each file until the word count
+    V is known; then file *i*'s becomes its separator code V + *i*.
     """
     if not files:
         raise EmptyCorpusError("corpus contains no files")
 
-    tokenized = [(name, tokenize(text, lowercase)) for name, text in files]
-    if all(not tokens for _, tokens in tokenized):
-        raise EmptyCorpusError("corpus contains no tokens")
-
-    codes: dict[str, int] = {}
-    words: list[str] = []
-    encoded_files = []
-    for name, tokens in tokenized:
-        file_codes = []
-        for token in tokens:
-            code = codes.get(token)
-            if code is None:
-                code = len(words)
-                codes[token] = code
-                words.append(token)
-            file_codes.append(code)
-        encoded_files.append((name, file_codes))
-
-    word_count = len(words)
+    # a word not seen before gets the next code
+    codes = defaultdict(itertools.count().__next__)
     symbols: list[int] = []
     file_table: list[FileEntry] = []
-    for index, (name, file_codes) in enumerate(encoded_files):
-        symbols.extend(file_codes)
-        symbols.append(word_count + index)
-        file_table.append(FileEntry(name, len(file_codes)))
+    separators: list[int] = []  # the stream position after each file
+    for name, text in files:
+        start = len(symbols)
+        symbols.extend(map(codes.__getitem__, tokenize(text, lowercase)))
+        file_table.append(FileEntry(name, len(symbols) - start))
+        separators.append(len(symbols))
+        symbols.append(-1)
+    if not codes:
+        raise EmptyCorpusError("corpus contains no tokens")
 
-    dictionary = Dictionary(words, separator_count=len(files), _codes=codes)
+    codes.default_factory = None  # a lookup of an unknown word is a KeyError
+    for index, position in enumerate(separators):
+        symbols[position] = len(codes) + index
+    # insertion order is code order
+    dictionary = Dictionary(list(codes), separator_count=len(files), _codes=codes)
     return dictionary, EncodedCorpus(symbols, file_table)
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -606,23 +607,47 @@ def test_tsv_output_refuses_names_that_split_its_fields(capsys, tmp_path, task):
 
 @pytest.mark.parametrize(
     "names",
-    [("x.txt", "x.txt"), ("", "y"), (".", "y"), ("d", "d/x")],
-    ids=["repeated", "empty", "dot", "file-and-directory"],
+    [("x.txt", "x.txt"), ("", "y"), (".", "y"), ("d", "d/x"), ("/y", "../y")],
+    ids=["repeated", "empty", "dot", "file-and-directory", "same-output-path"],
 )
 def test_decompress_checks_every_name_before_writing(capsys, tmp_path, names):
-    from tadoc.container import write_container
-    from tadoc.corpus import encode_corpus
-    from tadoc.sequitur import infer_grammar
-
-    files = [(name, f"w{i} a b") for i, name in enumerate(names)]
-    dictionary, encoded = encode_corpus(files)
-    grammar = infer_grammar(encoded.symbols, dictionary.n_total, dictionary.word_count)
-    path = tmp_path / "c.tdoc"
-    path.write_bytes(write_container(dictionary, grammar, encoded.file_table, True))
+    path = _container_named(tmp_path, names)
     restored = tmp_path / "restored"
     code, _, err = run(capsys, ["decompress", str(path), "--out", str(restored)])
     assert (code, err.startswith("error: ")) == (3, True)
     assert not restored.exists()
+
+
+def test_absolute_and_parent_names_round_trip_under_out(capsys, tmp_path, monkeypatch):
+    # compress keeps the names as given; decompress writes each under --out
+    # without its root anchor or leading ".." parts, as tar extracts
+    (tmp_path / "f.txt").write_text("a b c\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for name, written in (
+        (str(tmp_path / "f.txt"), str(tmp_path / "f.txt").lstrip(os.sep)),
+        (os.path.join("..", "f.txt"), "f.txt"),
+    ):
+        restored = tmp_path / "restored"
+        assert main(["compress", name, "--out", "c.tdoc"]) == 0
+        code, _, err = run(capsys, ["decompress", "c.tdoc", "--out", str(restored)])
+        assert (code, err.startswith("error: ")) == (0, False)
+        assert (restored / written).read_text() == "a b c\n"
+        shutil.rmtree(restored)
+
+
+def test_compress_leaves_its_own_container_out_of_the_walk(capsys, tmp_path):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "f.txt").write_text("a b a b\n")
+    out_path = corpus / "self.tdoc"
+    blobs = []
+    for _ in range(2):
+        code, _, err = run(capsys, ["compress", str(corpus), "--out", str(out_path)])
+        assert (code, "compressed 1 files" in err) == (0, True)
+        blobs.append(out_path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_dump_dict(capsys, tmp_path, corpus_dir):

@@ -171,6 +171,11 @@ def test_writer_rejects_what_the_layout_cannot_hold():
         named = [FileEntry(name, table[0].token_count), table[1]]
         with pytest.raises(C.ContainerError, match="file name"):
             C.write_container(dictionary, grammar, named)
+    # names that, beside "f1", give no output path of their own
+    for name in ("", ".", "..", "f1", "./f1", "/f1", "../f1", "f1/x"):
+        named = [FileEntry(name, table[0].token_count), table[1]]
+        with pytest.raises(C.ContainerError, match="output path"):
+            C.write_container(dictionary, grammar, named)
 
     rules = [list(body) for body in grammar.rules]
     rules[-1].append(2**32)
@@ -187,6 +192,13 @@ def test_writer_rejects_what_the_layout_cannot_hold():
     )
     with pytest.raises(C.ContainerError, match="undefined rule"):
         C.load_container(blob)
+
+
+def test_output_paths_drop_the_root_and_leading_parent_parts():
+    names = ["/abs/f.txt", "../g.txt", "../../h/../i", "a/../b", "//c", "d/./e"]
+    assert C.output_paths(names, ValueError) == [
+        "abs/f.txt", "g.txt", "i", "b", "c", "d/e"
+    ]
 
 
 def test_random_byte_flips_are_rejected_or_harmless():

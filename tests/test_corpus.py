@@ -36,6 +36,14 @@ def test_encode_two_files_first_appearance_coding():
     assert encoded.file_table == [FileEntry("f0", 2), FileEntry("f1", 2)]
     # file i's separator code is word_count + i
     assert encoded.symbols == [0, 1, 3, 0, 2, 4]
+    # a last file of words seen before adds no code but its separator
+    dictionary, encoded = encode_corpus([("f0", "a b"), ("f1", "a c"), ("f2", "c a")])
+    assert dictionary.words == ["a", "b", "c"]
+    assert encoded.symbols == [0, 1, 3, 0, 2, 4, 2, 0, 5]
+    # the finished dictionary refuses a word it has not coded
+    with pytest.raises(MalformedStreamError):
+        encode_tokens(["a", "z"], dictionary)
+    assert dictionary.codes == {"a": 0, "b": 1, "c": 2}
 
 
 def test_empty_corpus_is_an_error():
@@ -49,6 +57,15 @@ def test_empty_file_among_nonempty_is_fine():
     dictionary, encoded = encode_corpus([("f0", ""), ("f1", "a")])
     assert encoded.file_table[0].token_count == 0
     assert decode_stream(encoded.symbols, dictionary) == [(0, []), (1, ["a"])]
+    # empty first and last files: a separator at both ends of the stream
+    files = [("f0", ""), ("f1", "a b"), ("f2", "b a"), ("f3", " \n")]
+    dictionary, encoded = encode_corpus(files)
+    assert dictionary.words == ["a", "b"]
+    assert encoded.symbols == [2, 0, 1, 3, 1, 0, 4, 5]
+    assert [entry.token_count for entry in encoded.file_table] == [0, 2, 2, 0]
+    assert decode_stream(encoded.symbols, dictionary) == [
+        (0, []), (1, ["a", "b"]), (2, ["b", "a"]), (3, [])
+    ]
 
 
 def test_decode_two_files():
