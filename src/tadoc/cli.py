@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import gzip as gzip_mod
 import itertools
 import json
 import os
-import statistics
 import sys
-import tempfile
 import time
 import zlib
+
+# gzip, statistics and tempfile are imported where the gzip engine and bench
+# use them: each module imported raises an `analyze` process's peak memory
 
 from . import __version__, oracle
 from .corpus import CorpusError, decode_stream, encode_corpus, tokenize
@@ -46,22 +46,33 @@ def _log(message: str) -> None:
 
 
 def _collect_paths(
-    inputs: list[str], file_list: str | None, out: str = ""
+    inputs: list[str], file_list: str | None, skip: str = ""
 ) -> list[tuple[str, str]]:
     """(display name, filesystem path) pairs, deterministic order. A directory
-    walk leaves out the file at `out`'s real path, so a container written
-    into its own corpus is not read back as text on the next run."""
-    out_dir, out_name = os.path.split(os.path.realpath(out)) if out else ("", "")
+    walk leaves out what is at `skip`'s real path, a file or a whole
+    directory, so what a command writes into its own corpus (compress's
+    container, bench's work directory) is not read back as text on the next
+    run."""
+    skip = os.path.realpath(skip) if skip else ""
+    skip_dir, skip_name = os.path.split(skip)
     pairs: list[tuple[str, str]] = []
     for item in inputs:
         if os.path.isdir(item):
             for root, dirnames, filenames in os.walk(item):
+                if skip:
+                    real = os.path.realpath(root)
+                    if real == skip:
+                        dirnames.clear()
+                        continue
+                    if real == skip_dir and skip_name in filenames:
+                        filenames.remove(skip_name)
                 dirnames.sort()
-                if out_name in filenames and os.path.realpath(root) == out_dir:
-                    filenames.remove(out_name)
+                # a file's name is its directory's path relative to the
+                # item plus its own, so relpath runs once per directory
+                prefix = os.path.relpath(root, item)
+                prefix = "" if prefix == os.curdir else prefix + os.sep
                 for filename in sorted(filenames):
-                    path = os.path.join(root, filename)
-                    pairs.append((os.path.relpath(path, item), path))
+                    pairs.append((prefix + filename, os.path.join(root, filename)))
         elif os.path.isfile(item):
             pairs.append((item, item))
         else:
@@ -103,9 +114,11 @@ def _read_text(path: str) -> str:
 
 
 def _gunzip(path: str, raw: bytes) -> bytes:
+    import gzip
+
     try:
-        return gzip_mod.decompress(raw)
-    except (EOFError, gzip_mod.BadGzipFile, zlib.error) as exc:
+        return gzip.decompress(raw)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise CorpusError(f"{path} is not a whole gzip file: {exc}") from exc
 
 
@@ -375,6 +388,8 @@ def cmd_bench(args) -> int:
     """Time the engines on the corpus. The container and the gzip copies go
     to `--workdir` when given, else to a temporary directory that is removed
     afterwards."""
+    import tempfile
+
     if args.workdir:
         os.makedirs(args.workdir, exist_ok=True)
         return _bench(args, args.workdir)
@@ -383,8 +398,11 @@ def cmd_bench(args) -> int:
 
 
 def _bench(args, workdir: str) -> int:
+    import gzip
+    import statistics
+
     task = TASK_NAMES[args.task]
-    pairs = _collect_paths([args.corpus], None)
+    pairs = _collect_paths([args.corpus], None, workdir)
     raw_size = sum(os.path.getsize(path) for _, path in pairs)
 
     container_path = os.path.join(workdir, "corpus.tdoc")
@@ -397,7 +415,7 @@ def _bench(args, workdir: str) -> int:
     for index, (name, path) in enumerate(pairs):
         gz_path = os.path.join(workdir, f"file{index}.gz")
         with open(path, "rb") as src, open(gz_path, "wb") as dst:
-            dst.write(gzip_mod.compress(src.read(), 6))
+            dst.write(gzip.compress(src.read(), 6))
         gz_size += os.path.getsize(gz_path)
         gz_pairs.append((name + ".gz", gz_path))
     inputs = {

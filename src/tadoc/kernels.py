@@ -596,6 +596,8 @@ def rank_gram_files(tables: Iterable[Counter]) -> dict[str, list[tuple[int, int]
     Postings share one (file, count) tuple per distinct count in a file:
     most grams occur once in their file, so a file's postings need only a
     few tuples. Only the lists that gain a second file are sorted.
+    The result is built once the merge dict is freed, from the sorted grams
+    and their lists: a second gram-keyed dict would set the ranked job's peak.
     """
     by_gram: dict[str, list[tuple[int, int]]] = {}
     shared: list[list[tuple[int, int]]] = []
@@ -616,4 +618,7 @@ def rank_gram_files(tables: Iterable[Counter]) -> dict[str, list[tuple[int, int]
         # postings are in file order and the sort is stable, also reversed:
         # ties stay ordered by file
         postings.sort(key=itemgetter(1), reverse=True)
-    return {gram: by_gram[gram] for gram in sorted(by_gram)}
+    grams = sorted(by_gram)
+    lists = list(map(by_gram.__getitem__, grams))
+    del by_gram
+    return dict(zip(grams, lists))

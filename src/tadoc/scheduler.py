@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -135,6 +134,9 @@ def run_parallel(
     file_codes holds each file's word-code stream (no separators). The
     merged result is identical for any worker count.
     """
+    # imported here: it loads threading and logging, which no other path needs
+    from concurrent.futures import ThreadPoolExecutor
+
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     if task in ORDER_SENSITIVE:

@@ -650,6 +650,60 @@ def test_compress_leaves_its_own_container_out_of_the_walk(capsys, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_bench_leaves_its_workdir_out_of_the_walk(capsys, tmp_path):
+    # the container and the gzip copies of the first run stay in c/w
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "f.txt").write_text("a b a b\n")
+    argv = [
+        "bench", str(corpus), "word-count", "--repeat", "1", "--output", "json",
+        "--workdir", str(corpus / "w"),
+    ]
+    for _ in range(2):
+        code, out, err = run(capsys, argv)
+        assert (code, err.startswith("error: ")) == (0, False)
+        assert json.loads(out)["corpus"]["files"] == 1
+    assert {path.name for path in (corpus / "w").iterdir()} == {"corpus.tdoc", "file0.gz"}
+
+
+def test_collect_paths_names_each_file_relative_to_its_input(tmp_path, monkeypatch):
+    from tadoc.cli import _collect_paths
+
+    monkeypatch.chdir(tmp_path)
+    for path in ("c/a.txt", "c/sub/b.txt", "c/sub/deep/c.txt", "c/z/d.txt"):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        Path(path).write_text("a\n")
+    expected = ["a.txt", "sub/b.txt", "sub/deep/c.txt", "z/d.txt"]
+    for item in ("c", "c/", "./c", "./c/", "c/sub/..", str(tmp_path / "c")):
+        pairs = _collect_paths([item], None)
+        assert [name for name, _ in pairs] == expected, item
+        assert [os.path.relpath(path, item) for _, path in pairs] == expected, item
+    assert _collect_paths(["c/sub/"], None) == [
+        ("b.txt", "c/sub/b.txt"), ("deep/c.txt", "c/sub/deep/c.txt")
+    ]
+
+
+def test_analyze_imports_no_module_that_only_bench_uses(ref_container):
+    """An analyze process holds no module that only bench or the gzip engine
+    runs: each one imported raises the process's peak memory. -S keeps
+    site-packages' start-up hooks from importing any of them first."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {str(src)!r})
+from tadoc.cli import TASK_NAMES, main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["analyze", {str(ref_container)!r}, task]) for task in TASK_NAMES]
+modules = ("gzip", "statistics", "tempfile", "concurrent.futures")
+print(json.dumps([codes, [name for name in modules if name in sys.modules]]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        check=True, capture_output=True, text=True, timeout=60,
+    )
+    assert json.loads(proc.stdout) == [[0] * len(TASK_NAMES), []]
+
+
 def test_dump_dict(capsys, tmp_path, corpus_dir):
     out_path = tmp_path / "c.tdoc"
     dict_path = tmp_path / "dict.tsv"

@@ -186,6 +186,29 @@ def test_rank_gram_files_gives_each_gram_its_own_list():
     }
 
 
+def test_rank_gram_files_matches_a_sorted_dict_reference():
+    rng = random.Random(31)
+    for case in range(60):
+        # few names and counts, so both repeat across many files; some
+        # tables are empty, and case 0 has no tables at all
+        names = [f"g{i}" for i in range(rng.randint(1, 12))]
+        tables = [
+            Counter({rng.choice(names): rng.randint(1, 3) for _ in range(rng.randint(0, 8))})
+            for _ in range(0 if case == 0 else rng.randint(1, 40))
+        ]
+        by_gram: dict[str, list[tuple[int, int]]] = {}
+        for file_id, table in enumerate(tables):
+            for gram, count in table.items():
+                by_gram.setdefault(gram, []).append((file_id, count))
+        expected = [
+            (gram, sorted(by_gram[gram], key=lambda pair: (-pair[1], pair[0])))
+            for gram in sorted(by_gram)
+        ]
+        ranked = kernels.rank_gram_files(iter(tables))
+        assert list(ranked.items()) == expected
+        assert len({id(postings) for postings in ranked.values()}) == len(ranked)
+
+
 def test_tfidf_reference_values():
     dictionary, _, dag = build_dag([("f0", "a b"), ("f1", "a c")])
     scores = kernels.tfidf(dag, dictionary)
