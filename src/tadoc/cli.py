@@ -125,12 +125,16 @@ def _gunzip(path: str, raw: bytes) -> bytes:
 # -- serialization -----------------------------------------------------------------
 
 
+def _pairs(result):
+    """A keyed result as (key, value) pairs: a dict's items, or the pairs
+    that a streaming kernel yields in key order."""
+    return result.items() if isinstance(result, dict) else result
+
+
 def serialize_tsv(task: str, result, names: list[str]):
-    if task in ("word_count",):
-        for word, count in result.items():
-            yield f"{word}\t{count}"
-    elif task == "sort":
-        for word, count in result:
+    """TSV rows of `result`, one at a time, as they are pulled."""
+    if task in ("word_count", "sort"):
+        for word, count in _pairs(result):
             yield f"{word}\t{count}"
     elif task == "inverted_index":
         for word, ids in result.items():
@@ -144,7 +148,7 @@ def serialize_tsv(task: str, result, names: list[str]):
             for gram, count in table.items():
                 yield f"{names[file_id]}\t{gram}\t{count}"
     elif task == "ranked_inverted_index":
-        for gram, ranked in result.items():
+        for gram, ranked in _pairs(result):
             for file_id, count in ranked:
                 yield f"{gram}\t{names[file_id]}\t{count}"
     elif task == "tfidf":
@@ -170,10 +174,8 @@ def serialize_json(task: str, result, names: list[str]) -> str:
         raise ValueError(f"unknown task {task!r}")
     if task == "tfidf":
         body = [[word, list(scores.items())] for word, scores in result.items()]
-    elif isinstance(result, dict):
-        body = list(result.items())
     else:
-        body = result
+        body = list(_pairs(result))
     return json.dumps(
         {"schema_version": 1, "task": task, "files": names, "result": body},
         ensure_ascii=False,
@@ -358,11 +360,21 @@ def _timed(fn, *args):
     return value, time.perf_counter() - start
 
 
+def _drained(fn, *args) -> None:
+    """Call `fn` and run an iterator it returns to its end: a result that
+    streams to the emit is computed as it is pulled, so a timed step covers
+    the whole job only once it is drained."""
+    result = fn(*args)
+    if iter(result) is result:
+        for _ in result:
+            pass
+
+
 def _time_steps(engine, task, pairs, l, top_k) -> dict[str, float]:
     """Seconds taken by each of the engine's steps in one run of the job."""
     blobs, io_s = _timed(_read, pairs)
     (state, _), init_s = _timed(_init, engine, pairs, blobs)
-    _, compute_s = _timed(_compute, engine, task, state, l, top_k)
+    _, compute_s = _timed(_drained, _compute, engine, task, state, l, top_k)
     return {"io": io_s, "init": init_s, "compute": compute_s}
 
 

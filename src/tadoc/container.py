@@ -31,7 +31,7 @@ import struct
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .corpus import Dictionary, FileEntry
 from .dag import Dag, load_merge_graph
@@ -88,15 +88,17 @@ class FeatureMismatchError(ContainerError):
     """A stored token count disagrees with the grammar's expansion."""
 
 
-@dataclass
-class ContainerHeader:
-    version: int
-    deflate: bool
-    word_count: int
-    file_table: list[FileEntry]
-    total_tokens: int  # the sum of the file table's token counts
-    rule_count: int
-    container_size: int = 0
+class ContainerHeader(
+    namedtuple(
+        "ContainerHeader",
+        "version deflate word_count file_table total_tokens rule_count container_size",
+    )
+):
+    """What the preamble, header block and file table say. total_tokens is
+    the sum of the file table's token counts, container_size the byte size
+    of the whole container."""
+
+    __slots__ = ()
 
     @property
     def file_count(self) -> int:
@@ -300,7 +302,7 @@ def _payload(data: bytes, deflate: bool) -> memoryview:
 
 
 def _parse_header(
-    payload: memoryview, version: int, deflate: bool
+    payload: memoryview, version: int, deflate: bool, container_size: int
 ) -> tuple[ContainerHeader, int, int]:
     """The header block and file table: the header, the byte size of the
     words blob, and the offset after the table."""
@@ -320,6 +322,7 @@ def _parse_header(
         file_table=list(map(FileEntry, names, token_counts)),
         total_tokens=sum(token_counts),
         rule_count=rule_count,
+        container_size=container_size,
     )
     return header, words_size, pos + names_size
 
@@ -327,8 +330,7 @@ def _parse_header(
 def read_header(data: bytes) -> ContainerHeader:
     """Parse preamble, header block and file table only (grammar left untouched)."""
     version, deflate = _read_preamble(data)
-    header, _, _ = _parse_header(_payload(data, deflate), version, deflate)
-    header.container_size = len(data)
+    header, _, _ = _parse_header(_payload(data, deflate), version, deflate, len(data))
     return header
 
 
@@ -340,8 +342,7 @@ def read_container(data: bytes) -> tuple[Dictionary, Grammar, ContainerHeader]:
     """
     version, deflate = _read_preamble(data)
     payload = _payload(data, deflate)
-    header, words_size, pos = _parse_header(payload, version, deflate)
-    header.container_size = len(data)
+    header, words_size, pos = _parse_header(payload, version, deflate, len(data))
 
     words = _read_blob(
         payload, pos, words_size, _WORD_SEP, header.word_count, "dictionary word"

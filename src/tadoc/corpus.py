@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import unicodedata
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 
 
 class CorpusError(ValueError):
@@ -34,15 +33,25 @@ def tokenize(text: str, lowercase: bool = False) -> list[str]:
     return text.split()
 
 
-@dataclass
 class Dictionary:
-    """Bijective word<->code table plus reserved file-separator codes."""
+    """Bijective word<->code table plus reserved file-separator codes.
 
-    words: list[str]
-    separator_count: int
-    # word -> code, built on first use: analytics on a read container never
-    # look a word up
-    _codes: dict[str, int] | None = field(repr=False, compare=False, default=None)
+    Two are equal when their words and separator counts are.
+    """
+
+    __slots__ = ("words", "separator_count", "_codes")
+
+    def __init__(self, words: list[str], separator_count: int, _codes=None):
+        self.words = words
+        self.separator_count = separator_count
+        # word -> code, built on first use: analytics on a read container
+        # never look a word up
+        self._codes: dict[str, int] | None = _codes
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.words, self.separator_count
+        ) == (other.words, other.separator_count)
 
     @property
     def codes(self) -> dict[str, int]:
@@ -66,18 +75,14 @@ class Dictionary:
         return len(self.words) <= code < self.n_total
 
 
-@dataclass
-class FileEntry:
-    name: str
-    token_count: int  # words in the file; its separator code is word_count + index
+# token_count: words in the file; its separator code is word_count + index
+FileEntry = namedtuple("FileEntry", "name token_count")
 
 
-@dataclass
-class EncodedCorpus:
+class EncodedCorpus(namedtuple("EncodedCorpus", "symbols file_table")):
     """Symbol stream for a whole corpus plus its file table."""
 
-    symbols: list[int]
-    file_table: list[FileEntry]
+    __slots__ = ()
 
     @property
     def total_tokens(self) -> int:

@@ -9,17 +9,20 @@ read the bodies directly; no per-rule count table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .sequitur import Grammar, GrammarError
 
 
-@dataclass
 class Dag(Grammar):
-    # by symbol, the words it expands to: a word 1, a separator 0
-    lengths: list[int]
-    segments: list[tuple[int, int]]  # root-body span per file, separator excluded
+    __slots__ = ("lengths", "segments")
+
+    def __init__(self, n_terminals, n_words, rules, lengths, segments):
+        super().__init__(n_terminals, n_words, rules)
+        # by symbol, the words it expands to: a word 1, a separator 0
+        self.lengths: list[int] = lengths
+        # root-body span per file, separator excluded
+        self.segments: list[tuple[int, int]] = segments
 
     @property
     def total_tokens(self) -> int:

@@ -40,8 +40,15 @@ run counters as short files, share it. The kernels stream the tables to it
 in file order (`_by_path`): the pushed-down tables are computed first, a
 short file is counted when its turn comes, and each table is dropped once
 merged, so a job holds its result and about one file's table, not every
-file's (tfidf alone keeps them all, for its document frequencies). The
-CLI and `tadoc bench` share `run_task` (task to kernel).
+file's (tfidf alone keeps them all, for its document frequencies, and
+drops each once scored). The file-major and gram-major results stream to
+the emit: term vectors and sequence counts are iterators that count and
+finish a file only when the emit pulls it, and the ranked index merges
+every file when called, then yields one gram's postings at a time, in gram
+order, popping each gram as it goes. A gram seen in one file holds its
+shared (file, count) tuple alone, not a one-element list. The CLI and
+`tadoc bench` share `run_task` (task to kernel); bench drains a streamed
+result inside its timed compute step.
 
 `select_variant` and INDEX_VARIANTS name the published inverted-index
 traversals (a postorder word-set fold, a preorder file-set push-down over a
@@ -99,7 +106,9 @@ def select_variant(file_count: int, total_tokens: int) -> str:
 def run_task(
     task: str, dag: Dag, dictionary: Dictionary, l: int = 3, top_k: int | None = None
 ):
-    """Run one of TASKS on `dag`.
+    """Run one of TASKS on `dag`. Term vector, sequence count and the ranked
+    index return iterators, which compute as they are pulled (module
+    docstring); the other tasks return a dict or a list.
 
     Word count always runs preorder, which is faster than postorder on
     every corpus measured.
@@ -416,7 +425,10 @@ def finish(
     already summed, and by word code for the others.
 
     Each table is merged as it comes and then dropped, except for tfidf,
-    whose document frequencies need every table first.
+    whose document frequencies need every table first. Term vectors and
+    sequence counts are file-major, so they are an iterator that finishes a
+    file's vector or table only when it is pulled; the ranked index is an
+    iterator over its grams (`rank_gram_files`).
 
     top_k keeps each file's first top_k terms of a term vector; None keeps
     them all.
@@ -429,14 +441,7 @@ def finish(
     if task == "term_vector":
         if top_k is not None and top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {top_k}")
-        vectors = []
-        for table in tables:
-            items = [(words[code], count) for code, count in table.items()]
-            # by word, then stably by count descending: ties stay by word
-            items.sort(key=itemgetter(0))
-            items.sort(key=itemgetter(1), reverse=True)
-            vectors.append(items[:top_k])
-        return vectors
+        return _term_vectors(tables, words, top_k)
     if task == "tfidf":
         tables = list(tables)
         # the document frequency of a word is the number of files counting it
@@ -444,7 +449,9 @@ def finish(
         file_count = len(tables)
         idf = {code: math.log(file_count / files) for code, files in df.items()}
         scores: dict[int, dict[int, float]] = {}
-        for file_id, table in enumerate(tables):
+        for file_id in range(file_count):
+            # each table is dropped once scored
+            table, tables[file_id] = tables[file_id], None
             for code, count in table.items():
                 weight = idf[code]
                 by_file = scores.get(code)
@@ -462,13 +469,27 @@ def finish(
     return list(counts.items()) if task == "sort" else counts
 
 
+def _term_vectors(
+    tables: Iterable[Counter], words: list[str], top_k: int | None
+) -> Iterator[list[tuple[str, int]]]:
+    """Per file, as its table is pulled: (word, count) by count descending,
+    ties by word, cut to top_k."""
+    for table in tables:
+        items = [(words[code], count) for code, count in table.items()]
+        # by word, then stably by count descending: ties stay by word
+        items.sort(key=itemgetter(0))
+        items.sort(key=itemgetter(1), reverse=True)
+        yield items[:top_k]
+
+
 # -- term vector and tfidf -------------------------------------------------------
 
 
 def term_vector(
     dag: Dag, dictionary: Dictionary, top_k: int | None = None
-) -> list[list[tuple[str, int]]]:
-    """Per file: (word, count) sorted by count descending, ties by word."""
+) -> Iterator[list[tuple[str, int]]]:
+    """Per file, in file order: (word, count) sorted by count descending,
+    ties by word. Each file is counted as its vector is pulled."""
     return finish("term_vector", _per_file_code_counts(dag), dictionary, top_k)
 
 
@@ -566,41 +587,47 @@ def _push_gram_tables(
     return [tables.get(index, Counter()) for index in range(len(segments))]
 
 
-def gram_counts(tables: Iterable[Counter]) -> list[dict[str, int]]:
-    """Per file: {gram: count} sorted by gram, from name-keyed tables in
-    file order."""
-    return [{gram: table[gram] for gram in sorted(table)} for table in tables]
+def gram_counts(tables: Iterable[Counter]) -> Iterator[dict[str, int]]:
+    """Per file, as its table is pulled: {gram: count} sorted by gram, from
+    name-keyed tables in file order."""
+    return ({gram: table[gram] for gram in sorted(table)} for table in tables)
 
 
 def sequence_count(
     dag: Dag, dictionary: Dictionary, l: int = 3
-) -> list[dict[str, int]]:
-    """Per file: counts of every l-word window, keyed by the joined words."""
+) -> Iterator[dict[str, int]]:
+    """Per file, in file order: counts of every l-word window, keyed by the
+    joined words. Each file is counted as its table is pulled."""
     return finish("sequence_count", _gram_tables(dag, dictionary.words, l), dictionary)
 
 
 def ranked_inverted_index(
     dag: Dag, dictionary: Dictionary, l: int = 3
-) -> dict[str, list[tuple[int, int]]]:
-    """Per l-gram: (file, count) sorted by count descending, ties by file."""
+) -> Iterator[tuple[str, list[tuple[int, int]]]]:
+    """Per l-gram, in gram order: (gram, [(file, count), ...]) sorted by
+    count descending, ties by file."""
     return finish(
         "ranked_inverted_index", _gram_tables(dag, dictionary.words, l), dictionary
     )
 
 
-def rank_gram_files(tables: Iterable[Counter]) -> dict[str, list[tuple[int, int]]]:
-    """Per gram: (file, count) by count descending, ties by file, from the
-    name-keyed tables of `_gram_tables` in file order, where same-name
-    grams are summed. Each table is dropped once merged.
+def rank_gram_files(
+    tables: Iterable[Counter],
+) -> Iterator[tuple[str, list[tuple[int, int]]]]:
+    """Per gram, in gram order: (gram, [(file, count), ...]) by count
+    descending, ties by file, from the name-keyed tables of `_gram_tables`
+    in file order, where same-name grams are summed. Each table is dropped
+    once merged.
 
-    Postings share one (file, count) tuple per distinct count in a file:
+    The merge runs when this is called; the postings go out one gram at a
+    time. They share one (file, count) tuple per distinct count in a file:
     most grams occur once in their file, so a file's postings need only a
-    few tuples. Only the lists that gain a second file are sorted.
-    The result is built once the merge dict is freed, from the sorted grams
-    and their lists: a second gram-keyed dict would set the ranked job's peak.
+    few tuples. Most grams occur in one file, too: such a gram holds its
+    tuple alone, and gets a list only when it gains a second file or is
+    yielded. Each gram is popped as it goes, so its postings are freed once
+    emitted and no gram-keyed result is built.
     """
-    by_gram: dict[str, list[tuple[int, int]]] = {}
-    shared: list[list[tuple[int, int]]] = []
+    by_gram: dict[str, tuple[int, int] | list[tuple[int, int]]] = {}
     for file_id, table in enumerate(tables):
         pairs: dict[int, tuple[int, int]] = {}
         for gram, count in table.items():
@@ -609,16 +636,25 @@ def rank_gram_files(tables: Iterable[Counter]) -> dict[str, list[tuple[int, int]
                 pair = pairs[count] = (file_id, count)
             postings = by_gram.get(gram)
             if postings is None:
-                by_gram[gram] = [pair]
+                by_gram[gram] = pair
+            elif postings.__class__ is tuple:
+                by_gram[gram] = [postings, pair]
             else:
-                if len(postings) == 1:
-                    shared.append(postings)
                 postings.append(pair)
-    for postings in shared:
-        # postings are in file order and the sort is stable, also reversed:
-        # ties stay ordered by file
-        postings.sort(key=itemgetter(1), reverse=True)
-    grams = sorted(by_gram)
-    lists = list(map(by_gram.__getitem__, grams))
-    del by_gram
-    return dict(zip(grams, lists))
+    return _ranked_postings(by_gram, sorted(by_gram))
+
+
+def _ranked_postings(
+    by_gram: dict[str, tuple[int, int] | list[tuple[int, int]]], grams: list[str]
+) -> Iterator[tuple[str, list[tuple[int, int]]]]:
+    """Pop each of `grams` from `by_gram` in turn, with its postings ranked."""
+    pop = by_gram.pop
+    for gram in grams:
+        postings = pop(gram)
+        if postings.__class__ is tuple:
+            yield gram, [postings]
+        else:
+            # postings are in file order and the sort is stable, also
+            # reversed: ties stay ordered by file
+            postings.sort(key=itemgetter(1), reverse=True)
+            yield gram, postings

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import partial
 
 from . import kernels
@@ -32,27 +31,20 @@ from .kernels import ORDER_SENSITIVE, TASKS
 # -- partitioning ---------------------------------------------------------------
 
 
-@dataclass
-class Section:
+class Section(namedtuple("Section", "file_id seq n_sections start end")):
     """A token range of one file; whole files are their only section."""
 
-    file_id: int
-    seq: int
-    n_sections: int
-    start: int
-    end: int
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return self.end - self.start
 
 
-@dataclass
-class PartitionPlan:
-    partitions: list[list[Section]]
-    h_split: float
-    load_cap: float
-    split_files: set[int] = field(default_factory=set)
+class PartitionPlan(
+    namedtuple("PartitionPlan", "partitions h_split load_cap split_files")
+):
+    __slots__ = ()
 
     @property
     def loads(self) -> list[int]:
@@ -94,7 +86,7 @@ def plan_partitions(sizes: list[int], n_workers: int) -> PartitionPlan:
     h_split = total / (2 * n_workers)
     cap = (total / n_workers) * 1.25
     items = [Section(i, 0, 1, 0, size) for i, size in enumerate(sizes)]
-    plan = PartitionPlan(_pack(items, n_workers), h_split, cap)
+    plan = PartitionPlan(_pack(items, n_workers), h_split, cap, set())
     if n_workers == 1:
         return plan
     while plan.max_load > cap:

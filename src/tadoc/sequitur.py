@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import chain, count
 
 from .corpus import MalformedStreamError
@@ -43,7 +42,6 @@ class GrammarError(ValueError):
     """Structurally invalid grammar (dangling rule id, cycle, ...)."""
 
 
-@dataclass
 class Grammar:
     """A context-free grammar for one symbol stream.
 
@@ -54,11 +52,22 @@ class Grammar:
     Inferred grammars, containers and the DAG number rules parents first:
     every rule id in rule i's body is greater than i (`parents_first`
     renumbers any acyclic grammar so).
+
+    Two grammars of one class are equal when these three fields are; what
+    a subclass adds is derived from them.
     """
 
-    n_terminals: int
-    n_words: int
-    rules: list[list[int]]
+    __slots__ = ("n_terminals", "n_words", "rules")
+
+    def __init__(self, n_terminals: int, n_words: int, rules: list[list[int]]):
+        self.n_terminals = n_terminals
+        self.n_words = n_words
+        self.rules = rules
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.n_terminals, self.n_words, self.rules
+        ) == (other.n_terminals, other.n_words, other.rules)
 
     @property
     def root_id(self) -> int:
@@ -528,39 +537,3 @@ def grammar_stats(grammar: Grammar) -> tuple[int, int, int]:
             (depth[sym - n] for sym in rules[index] if sym >= n), default=0
         )
     return len(rules), sum(map(len, rules)), max(depth)
-
-
-def rule_reference_counts(grammar: Grammar) -> dict[int, int]:
-    """How often each rule id is referenced across all bodies."""
-    counts = {grammar.n_terminals + i: 0 for i in range(len(grammar.rules))}
-    for body in grammar.rules:
-        for sym in body:
-            if sym >= grammar.n_terminals:
-                counts[sym] += 1
-    return counts
-
-
-def duplicate_digrams(grammar: Grammar) -> list[tuple[int, int]]:
-    """Digram-uniqueness violations, for invariant scans.
-
-    Pairs containing separators are exempt, as are immediately overlapping
-    repeats of the same pair (``a a a``) which online inference cannot
-    replace.
-    """
-    seen: set[tuple[int, int]] = set()
-    violations = []
-    for body in grammar.rules:
-        previous = None
-        for i in range(len(body) - 1):
-            pair = (body[i], body[i + 1])
-            if grammar.is_separator(pair[0]) or grammar.is_separator(pair[1]):
-                previous = None
-                continue
-            if pair == previous:
-                previous = None  # overlap consumed; a third repeat is distinct
-                continue
-            if pair in seen:
-                violations.append(pair)
-            seen.add(pair)
-            previous = pair
-    return violations

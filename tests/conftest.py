@@ -1,4 +1,5 @@
-"""Shared corpus and stream generators for the test suite."""
+"""Shared corpus and stream generators, grammar invariant checks and
+result helpers for the test suite."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import zlib
 from tadoc import kernels
 from tadoc.corpus import encode_corpus
 from tadoc.dag import coarsen, load_merge_graph
-from tadoc.sequitur import infer_grammar
+from tadoc.sequitur import Grammar, infer_grammar
 
 WORDS = [f"w{i}" for i in range(40)] + ["alpha", "beta", "gamma", "x,y", "Zed!"]
 
@@ -85,6 +86,53 @@ def build_dag(files, threshold=0):
     if threshold:
         dag = coarsen(dag, threshold)
     return dictionary, encoded, dag
+
+
+def whole(task, result):
+    """A kernel's result as the oracle gives it: the ranked index, which
+    streams (gram, postings) pairs, as a dict, and the per-file results,
+    which stream one file at a time, as a list."""
+    if task == "ranked_inverted_index":
+        return dict(result)
+    if task in ("term_vector", "sequence_count"):
+        return list(result)
+    return result
+
+
+def rule_reference_counts(grammar: Grammar) -> dict[int, int]:
+    """How often each rule id is referenced across all bodies."""
+    counts = {grammar.n_terminals + i: 0 for i in range(len(grammar.rules))}
+    for body in grammar.rules:
+        for sym in body:
+            if sym >= grammar.n_terminals:
+                counts[sym] += 1
+    return counts
+
+
+def duplicate_digrams(grammar: Grammar) -> list[tuple[int, int]]:
+    """Digram-uniqueness violations, for invariant scans.
+
+    Pairs containing separators are exempt, as are immediately overlapping
+    repeats of the same pair (``a a a``) which online inference cannot
+    replace.
+    """
+    seen: set[tuple[int, int]] = set()
+    violations = []
+    for body in grammar.rules:
+        previous = None
+        for i in range(len(body) - 1):
+            pair = (body[i], body[i + 1])
+            if grammar.is_separator(pair[0]) or grammar.is_separator(pair[1]):
+                previous = None
+                continue
+            if pair == previous:
+                previous = None  # overlap consumed; a third repeat is distinct
+                continue
+            if pair in seen:
+                violations.append(pair)
+            seen.add(pair)
+            previous = pair
+    return violations
 
 
 def traversal_index(dag, dictionary):

@@ -16,19 +16,22 @@ import zlib
 
 import pytest
 
-from conftest import build_dag, random_corpus, repetitive_corpus, reseal
+from conftest import (
+    build_dag,
+    duplicate_digrams,
+    random_corpus,
+    repetitive_corpus,
+    reseal,
+    rule_reference_counts,
+    whole,
+)
 from tadoc import container as C
 from tadoc import kernels, oracle
 from tadoc.cli import main
 from tadoc.corpus import encode_corpus, tokenize
 from tadoc.kernels import select_variant
 from tadoc.scheduler import TASKS, plan_partitions, run_parallel
-from tadoc.sequitur import (
-    duplicate_digrams,
-    expand,
-    infer_grammar,
-    rule_reference_counts,
-)
+from tadoc.sequitur import expand, infer_grammar
 
 
 def _verdict(number: int, message: str) -> None:
@@ -113,9 +116,9 @@ def _sequential_results(files, threshold):
         ],
         "sort": [kernels.sort_words(dag, dictionary)],
         "inverted_index": [kernels.inverted_index(dag, dictionary)],
-        "term_vector": [kernels.term_vector(dag, dictionary)],
-        "sequence_count": [kernels.sequence_count(dag, dictionary, 3)],
-        "ranked_inverted_index": [kernels.ranked_inverted_index(dag, dictionary, 3)],
+        "term_vector": [list(kernels.term_vector(dag, dictionary))],
+        "sequence_count": [list(kernels.sequence_count(dag, dictionary, 3))],
+        "ranked_inverted_index": [dict(kernels.ranked_inverted_index(dag, dictionary, 3))],
         "tfidf": [kernels.tfidf(dag, dictionary)],
     }
     return results
@@ -138,7 +141,7 @@ def test_acceptance_3_oracle_equivalence_all_kernels():
                     checked += 1
         for workers in (1, 4):
             for task in TASKS:
-                merged = run_parallel(dictionary, streams, task, workers)
+                merged = whole(task, run_parallel(dictionary, streams, task, workers))
                 assert merged == truth[task], (trial, workers, task)
                 checked += 1
     _verdict(3, f"{checked} kernel runs equal the oracle exactly")

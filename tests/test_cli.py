@@ -1,5 +1,6 @@
 import gc
 import gzip
+import io
 import itertools
 import json
 import os
@@ -685,8 +686,9 @@ def test_collect_paths_names_each_file_relative_to_its_input(tmp_path, monkeypat
 
 def test_analyze_imports_no_module_that_only_bench_uses(ref_container):
     """An analyze process holds no module that only bench or the gzip engine
-    runs: each one imported raises the process's peak memory. -S keeps
-    site-packages' start-up hooks from importing any of them first."""
+    runs, nor `dataclasses` with the `inspect` it imports: each one imported
+    raises the process's peak memory. -S keeps site-packages' start-up hooks
+    from importing any of them first."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = f"""
 import contextlib, io, json, sys
@@ -694,7 +696,7 @@ sys.path.insert(0, {str(src)!r})
 from tadoc.cli import TASK_NAMES, main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(["analyze", {str(ref_container)!r}, task]) for task in TASK_NAMES]
-modules = ("gzip", "statistics", "tempfile", "concurrent.futures")
+modules = ("gzip", "statistics", "tempfile", "concurrent.futures", "dataclasses", "inspect")
 print(json.dumps([codes, [name for name in modules if name in sys.modules]]))
 """
     proc = subprocess.run(
@@ -808,6 +810,61 @@ def test_json_output_of_every_task_is_the_golden_text(capsys, corpus_dir, tmp_pa
         ):
             code, out, _ = run(capsys, [*argv, "--output", "json"])
             assert (code, out) == (0, expected), argv
+
+
+@pytest.mark.parametrize("task", ["term_vector", "sequence_count"])
+def test_emit_writes_a_file_before_the_next_table_is_pulled(task, monkeypatch):
+    from collections import Counter
+
+    from tadoc import cli, kernels
+    from tadoc.corpus import Dictionary
+
+    dictionary = Dictionary(["a", "b"], 2)
+    if task == "term_vector":
+        tables = [Counter({0: 2, 1: 1}), Counter({1: 3})]
+    else:
+        tables = [Counter({"b_a_b": 1, "a_b_a": 2}), Counter({"b_b_b": 1})]
+    out = io.StringIO()
+    seen = []  # what stdout held as each table was pulled
+
+    def pulled():
+        for table in tables:
+            seen.append(out.getvalue())
+            yield table
+
+    monkeypatch.setattr(sys, "stdout", out)
+    # one row per write, so that rows are written as soon as they are made
+    monkeypatch.setattr(cli, "_EMIT_ROWS", 1)
+    result = kernels.finish(task, pulled(), dictionary)
+    cli._emit(task, result, ["f0", "f1"], "tsv")
+    rows = out.getvalue().splitlines()
+    assert len(rows) == 3
+    assert seen == ["", "\n".join(rows[:2]) + "\n"]
+
+
+def test_bench_times_a_streamed_result_to_its_end(ref_container, monkeypatch):
+    # a streamed result is computed as it is pulled: the compute step must
+    # pull all of it
+    from tadoc import cli
+
+    drained = []
+    run_task = cli.run_task
+
+    def streamed_run_task(*args):
+        result = run_task(*args)
+
+        def stream():
+            yield from result
+            drained.append(True)
+
+        return stream()
+
+    monkeypatch.setattr(cli, "run_task", streamed_run_task)
+    pairs = [(str(ref_container), str(ref_container))]
+    for task in ("term_vector", "sequence_count", "ranked_inverted_index"):
+        drained.clear()
+        cli._time_steps("cd", task, pairs, 3, None)
+        assert drained == [True], task
 
 
 def test_lowercase_with_the_cd_engine_is_usage_error(capsys, tmp_path):

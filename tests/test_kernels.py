@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -82,20 +83,20 @@ def test_unknown_variant():
 
 def test_term_vector_small():
     dictionary, _, dag = build_dag([("f0", "a a b")])
-    assert kernels.term_vector(dag, dictionary) == [[("a", 2), ("b", 1)]]
+    assert list(kernels.term_vector(dag, dictionary)) == [[("a", 2), ("b", 1)]]
 
 
 def test_term_vector_reference_and_top_k():
     dictionary, _, dag = build_dag(REF_FILES)
-    assert kernels.term_vector(dag, dictionary) == [
+    assert list(kernels.term_vector(dag, dictionary)) == [
         [("a", 6), ("b", 5), ("c", 2), ("d", 2)]
     ]
-    assert kernels.term_vector(dag, dictionary, top_k=2) == [[("a", 6), ("b", 5)]]
+    assert list(kernels.term_vector(dag, dictionary, top_k=2)) == [[("a", 6), ("b", 5)]]
 
 
 def test_sequence_count_reference():
     dictionary, _, dag = build_dag(REF_FILES)
-    assert kernels.sequence_count(dag, dictionary, 3) == [
+    assert list(kernels.sequence_count(dag, dictionary, 3)) == [
         {
             "a_b_a": 1, "a_b_c": 2, "a_b_d": 2, "b_c_a": 2,
             "b_d_a": 2, "c_a_b": 2, "d_a_b": 2,
@@ -105,7 +106,7 @@ def test_sequence_count_reference():
 
 def test_sequence_count_short_file():
     dictionary, _, dag = build_dag([("f0", "a b"), ("f1", "a b c d")])
-    tables = kernels.sequence_count(dag, dictionary, 3)
+    tables = list(kernels.sequence_count(dag, dictionary, 3))
     assert tables[0] == {}
     assert tables[1] == {"a_b_c": 1, "b_c_d": 1}
 
@@ -130,17 +131,17 @@ def test_window_count_conservation():
 
 def test_ranked_inverted_index_single_and_disjoint():
     dictionary, _, dag = build_dag([("f0", "a b c a b c")])
-    ranked = kernels.ranked_inverted_index(dag, dictionary)
+    ranked = dict(kernels.ranked_inverted_index(dag, dictionary))
     assert ranked["a_b_c"] == [(0, 2)]
     dictionary, _, dag = build_dag([("f0", "p q r"), ("f1", "x y z")])
-    ranked = kernels.ranked_inverted_index(dag, dictionary)
+    ranked = dict(kernels.ranked_inverted_index(dag, dictionary))
     assert ranked == {"p_q_r": [(0, 1)], "x_y_z": [(1, 1)]}
 
 
 def test_ranked_inverted_index_orders_by_count_then_file():
     files = [("f0", "a b c"), ("f1", "a b c a b c"), ("f2", "a b c")]
     dictionary, _, dag = build_dag(files)
-    ranked = kernels.ranked_inverted_index(dag, dictionary)
+    ranked = dict(kernels.ranked_inverted_index(dag, dictionary))
     assert ranked["a_b_c"] == [(1, 2), (0, 1), (2, 1)]
 
 
@@ -170,13 +171,13 @@ def test_ranked_inverted_index_orders_by_count_then_file():
     ],
 )
 def test_rank_gram_files(tables, expected):
-    assert list(kernels.rank_gram_files(tables).items()) == expected
+    assert list(kernels.rank_gram_files(tables)) == expected
 
 
 def test_rank_gram_files_gives_each_gram_its_own_list():
     # p, q and r share a count in each file
     tables = [Counter(p=1, q=1), Counter(p=1, r=1), Counter(q=1, r=1)]
-    ranked = kernels.rank_gram_files(tables)
+    ranked = dict(kernels.rank_gram_files(tables))
     ranked["q"].append((7, 9))
     ranked["r"].sort(reverse=True)
     assert ranked == {
@@ -204,9 +205,26 @@ def test_rank_gram_files_matches_a_sorted_dict_reference():
             (gram, sorted(by_gram[gram], key=lambda pair: (-pair[1], pair[0])))
             for gram in sorted(by_gram)
         ]
-        ranked = kernels.rank_gram_files(iter(tables))
-        assert list(ranked.items()) == expected
-        assert len({id(postings) for postings in ranked.values()}) == len(ranked)
+        ranked = list(kernels.rank_gram_files(iter(tables)))
+        assert ranked == expected
+        assert len({id(postings) for _, postings in ranked}) == len(ranked)
+
+
+def test_rank_gram_files_streams_each_gram_and_keeps_none_it_gave():
+    tables = [Counter(c=1, a=2), Counter(c=1, b=1), Counter(b=3)]
+    ranked = kernels.rank_gram_files(iter(tables))
+    got, last = [], None
+    for gram, postings in ranked:
+        assert type(postings) is list
+        if last is not None:
+            # once the next gram is out, the kernel holds no reference to
+            # the postings it gave before: `last` and getrefcount's argument
+            # are all that refer to them
+            assert sys.getrefcount(last) == 2
+        got.append((gram, postings[:]))
+        last = postings
+        del postings
+    assert got == [("a", [(0, 2)]), ("b", [(2, 3), (1, 1)]), ("c", [(0, 1), (1, 1)])]
 
 
 def test_tfidf_reference_values():
@@ -229,12 +247,12 @@ def test_all_kernels_match_oracle():
             assert kernels.sort_words(dag, dictionary) == oracle.run("sort", files)
             assert kernels.inverted_index(dag, dictionary) == \
                 oracle.run("inverted_index", files)
-            assert kernels.term_vector(dag, dictionary) == \
+            assert list(kernels.term_vector(dag, dictionary)) == \
                 oracle.run("term_vector", files)
             for l in (2, 3):
-                assert kernels.sequence_count(dag, dictionary, l) == \
+                assert list(kernels.sequence_count(dag, dictionary, l)) == \
                     oracle.run("sequence_count", files, l)
-            assert kernels.ranked_inverted_index(dag, dictionary) == \
+            assert dict(kernels.ranked_inverted_index(dag, dictionary)) == \
                 oracle.run("ranked_inverted_index", files)
             assert kernels.tfidf(dag, dictionary) == oracle.run("tfidf", files)
 

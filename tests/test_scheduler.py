@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import build_dag, random_corpus
+from conftest import build_dag, random_corpus, whole
 from tadoc import kernels, oracle
 from tadoc.corpus import encode_corpus, encode_tokens, tokenize
 from tadoc.kernels import select_variant
@@ -90,21 +90,7 @@ def _file_streams(files):
 
 def run_task_sequential(files, task, l=3):
     dictionary, encoded, dag = build_dag(files)
-    if task == "word_count":
-        return kernels.word_count_preorder(dag, dictionary)
-    if task == "sort":
-        return kernels.sort_words(dag, dictionary)
-    if task == "inverted_index":
-        return kernels.inverted_index(dag, dictionary)
-    if task == "term_vector":
-        return kernels.term_vector(dag, dictionary)
-    if task == "sequence_count":
-        return kernels.sequence_count(dag, dictionary, l)
-    if task == "ranked_inverted_index":
-        return kernels.ranked_inverted_index(dag, dictionary, l)
-    if task == "tfidf":
-        return kernels.tfidf(dag, dictionary)
-    raise AssertionError(task)
+    return whole(task, kernels.run_task(task, dag, dictionary, l))
 
 
 def run_oracle(files, task, l=3):
@@ -120,14 +106,14 @@ def test_results_invariant_under_worker_count():
             reference = run_task_sequential(files, task)
             assert run_oracle(files, task) == reference
             for workers in (1, 2, 4, 8):
-                merged = run_parallel(dictionary, streams, task, workers)
+                merged = whole(task, run_parallel(dictionary, streams, task, workers))
                 assert merged == reference, (task, workers)
         for top_k in (0, 1, 3):
             reference = oracle.run("term_vector", files, top_k=top_k)
             for workers in (1, 2, 4, 8):
-                merged = run_parallel(
+                merged = list(run_parallel(
                     dictionary, streams, "term_vector", workers, top_k=top_k
-                )
+                ))
                 assert merged == reference, (top_k, workers)
 
 
@@ -143,7 +129,7 @@ def test_run_parallel_never_infers_a_grammar(monkeypatch):
     monkeypatch.setattr("tadoc.sequitur._infer", no_inference)
     for workers in (1, 2, 3):
         for task in TASKS:
-            merged = run_parallel(dictionary, streams, task, workers)
+            merged = whole(task, run_parallel(dictionary, streams, task, workers))
             assert merged == references[task], (task, workers)
 
 
@@ -163,13 +149,13 @@ def test_split_file_sequence_count_matches_oracle():
             plan = plan_partitions([len(s) for s in streams], workers)
             assert 0 in plan.split_files
             for l in lengths:
-                merged = run_parallel(
+                merged = list(run_parallel(
                     dictionary, streams, "sequence_count", workers, l=l
-                )
+                ))
                 assert merged == oracle.run("sequence_count", files, l), (workers, l)
-                ranked = run_parallel(
+                ranked = dict(run_parallel(
                     dictionary, streams, "ranked_inverted_index", workers, l=l
-                )
+                ))
                 assert ranked == oracle.run("ranked_inverted_index", files, l)
 
 
@@ -185,11 +171,13 @@ def test_split_file_with_underscore_words_matches_oracle():
             plan = plan_partitions([len(s) for s in streams], workers)
             assert 0 in plan.split_files
         for l in (2, 3, 4):
-            counts = run_parallel(dictionary, streams, "sequence_count", workers, l=l)
-            assert counts == oracle.run("sequence_count", files, l), (workers, l)
-            ranked = run_parallel(
-                dictionary, streams, "ranked_inverted_index", workers, l=l
+            counts = list(
+                run_parallel(dictionary, streams, "sequence_count", workers, l=l)
             )
+            assert counts == oracle.run("sequence_count", files, l), (workers, l)
+            ranked = dict(run_parallel(
+                dictionary, streams, "ranked_inverted_index", workers, l=l
+            ))
             assert ranked == oracle.run("ranked_inverted_index", files, l), (workers, l)
 
 

@@ -18,7 +18,7 @@ from collections import Counter
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_dag, traversal_index
+from conftest import build_dag, traversal_index, whole
 from tadoc import kernels, oracle
 from tadoc.cli import main
 from tadoc.corpus import Dictionary, encode_corpus, tokenize
@@ -80,12 +80,14 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths
             got["inverted_index"].append(traversal_index(dag, dictionary))
         for task, results in got.items():
             for result in results:
-                assert _items(result) == _items(truth[task]), (threshold, task)
+                assert _items(whole(task, result)) == _items(truth[task]), (
+                    threshold, task
+                )
     dictionary, _ = encode_corpus(files)
     streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
     for n in workers:
         for task, expected in truth.items():
-            got = run_parallel(dictionary, streams, task, n)
+            got = whole(task, run_parallel(dictionary, streams, task, n))
             assert _items(got) == _items(expected), (n, task)
 
 
@@ -96,23 +98,23 @@ def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths=True)
         ranked = _items(oracle.run("ranked_inverted_index", files, l))
         for threshold in thresholds:
             dictionary, _, dag = build_dag(files, threshold)
-            got = kernels.sequence_count(dag, dictionary, l)
+            got = list(kernels.sequence_count(dag, dictionary, l))
             assert _items(got) == counts, (threshold, l)
-            got = kernels.ranked_inverted_index(dag, dictionary, l)
+            got = dict(kernels.ranked_inverted_index(dag, dictionary, l))
             assert _items(got) == ranked, (threshold, l)
             if both_paths:
                 for tables in both_path_tables(dag, dictionary.words, l):
-                    got = kernels.finish("sequence_count", tables, dictionary)
+                    got = list(kernels.finish("sequence_count", tables, dictionary))
                     assert _items(got) == counts, (threshold, l)
                     got = kernels.finish("ranked_inverted_index", tables, dictionary)
-                    assert _items(got) == ranked, (threshold, l)
+                    assert _items(dict(got)) == ranked, (threshold, l)
         dictionary, _ = encode_corpus(files)
         streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
         for n in workers:
             got = run_parallel(dictionary, streams, "sequence_count", n, l=l)
-            assert _items(got) == counts, (n, l)
+            assert _items(list(got)) == counts, (n, l)
             got = run_parallel(dictionary, streams, "ranked_inverted_index", n, l=l)
-            assert _items(got) == ranked, (n, l)
+            assert _items(dict(got)) == ranked, (n, l)
 
 
 @st.composite
@@ -163,8 +165,9 @@ def test_words_with_underscores_sum_like_the_oracle():
     # (a_b, c, x) and (a, b_c, x) both read a_b_c_x
     files = [("f0", "a_b c x a b_c x"), ("f1", "a b_c x")]
     dictionary, _, dag = build_dag(files)
-    assert kernels.sequence_count(dag, dictionary, 3)[0]["a_b_c_x"] == 2
-    assert kernels.ranked_inverted_index(dag, dictionary, 3)["a_b_c_x"] == [(0, 2), (1, 1)]
+    assert next(kernels.sequence_count(dag, dictionary, 3))["a_b_c_x"] == 2
+    ranked = dict(kernels.ranked_inverted_index(dag, dictionary, 3))
+    assert ranked["a_b_c_x"] == [(0, 2), (1, 1)]
     assert_exact(files)
 
 
@@ -194,14 +197,14 @@ def test_doubling_grammar_is_counted_without_expansion():
         5: {"a_b_a_b_a": half - 2, "b_a_b_a_b": half - 2},
     }
     for l, counts in expected.items():
-        assert kernels.sequence_count(dag, dictionary, l) == [counts]
-        ranked = kernels.ranked_inverted_index(dag, dictionary, l)
+        assert list(kernels.sequence_count(dag, dictionary, l)) == [counts]
+        ranked = dict(kernels.ranked_inverted_index(dag, dictionary, l))
         assert ranked == {gram: [(0, count)] for gram, count in counts.items()}
     words = {"a": half, "b": half}
     assert kernels.word_count_postorder(dag, dictionary) == words
     assert kernels.word_count_preorder(dag, dictionary) == words
     assert kernels.run_task("word_count", dag, dictionary) == words
-    assert kernels.term_vector(dag, dictionary) == [[("a", half), ("b", half)]]
+    assert list(kernels.term_vector(dag, dictionary)) == [[("a", half), ("b", half)]]
     # one file: every word is in every file, so ln(1 / 1) scores 0
     assert kernels.tfidf(dag, dictionary) == {"a": {0: 0.0}, "b": {0: 0.0}}
 
@@ -292,7 +295,7 @@ def test_one_long_file_pays_only_for_the_rules_it_reaches(monkeypatch):
         return crossing_windows(elements, *args)
 
     monkeypatch.setattr(kernels, "_crossing_windows", spy)
-    got = kernels.sequence_count(dag, dictionary, 3)
+    got = list(kernels.sequence_count(dag, dictionary, 3))
     # one call per reached rule, and one for the long file's segment
     assert len(calls) == len(reached) + 1
     assert _items(got) == _items(oracle.run("sequence_count", files, 3))
@@ -336,8 +339,8 @@ def test_a_window_longer_than_every_file_costs_no_memory():
     expected = oracle.run("sequence_count", files, l)
     assert expected == [{}, {}]
     for count in (
-        lambda: kernels.sequence_count(dag, dictionary, l),
-        lambda: run_parallel(dictionary, streams, "sequence_count", 1, l),
+        lambda: list(kernels.sequence_count(dag, dictionary, l)),
+        lambda: list(run_parallel(dictionary, streams, "sequence_count", 1, l)),
     ):
         tracemalloc.start()
         try:
@@ -362,7 +365,7 @@ def test_a_window_longer_than_the_text_reads_no_rule():
     for task, expected in (("sequence_count", [{}]), ("ranked_inverted_index", {})):
         tracemalloc.start()
         try:
-            got = kernels.run_task(task, dag, dictionary, 10**9)
+            got = whole(task, kernels.run_task(task, dag, dictionary, 10**9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,7 +391,7 @@ def _short_files(seed, count=400):
 
 def test_ranked_index_holds_one_file_table_at_a_time():
     # the per-file tables are merged as they are counted: the kernel's peak
-    # stays near what its result holds
+    # stays near what the merged postings hold
     dictionary, _, dag = build_dag(_short_files(5))
     assert len(kernels._short_runs(dag)) == dag.file_count
     tracemalloc.start()
@@ -398,5 +401,5 @@ def test_ranked_index_holds_one_file_table_at_a_time():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result
+    assert next(result, None) is not None
     assert peak - before < 1.5 * (held - before)

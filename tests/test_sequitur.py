@@ -5,19 +5,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pooled_stream, random_corpus, random_stream
+from conftest import (
+    duplicate_digrams,
+    pooled_stream,
+    random_corpus,
+    random_stream,
+    rule_reference_counts,
+)
 from tadoc.corpus import MalformedStreamError, encode_corpus
 from tadoc.sequitur import (
     EXPANSION_CAP,
     Grammar,
     GrammarError,
-    duplicate_digrams,
     expand,
     expansions,
     grammar_stats,
     infer_grammar,
     parents_first,
-    rule_reference_counts,
 )
 
 
