@@ -33,22 +33,20 @@ words joined with "_", from the first window on: a `str` caches its hash,
 and grams that join alike (words may contain "_") are summed where they
 are counted, as the oracle sums them.
 
-`finish` turns the per-file tables (word-code counts, or window counts by
-gram name for the order-sensitive tasks) into a task's result; the per-file
-kernels and `run_parallel`, which counts plain code streams with the same
-run counters as short files, share it. The kernels stream the tables to it
-in file order (`_by_path`): the pushed-down tables are computed first, a
-short file is counted when its turn comes, and each table is dropped once
-merged, so a job holds its result and about one file's table, not every
-file's (tfidf alone keeps them all, for its document frequencies, and
-drops each once scored). The file-major and gram-major results stream to
-the emit: term vectors and sequence counts are iterators that count and
-finish a file only when the emit pulls it, and the ranked index merges
-every file when called, then yields one gram's postings at a time, in gram
-order, popping each gram as it goes. A gram seen in one file holds its
-shared (file, count) tuple alone, not a one-element list. The CLI and
-`tadoc bench` share `run_task` (task to kernel); bench drains a streamed
-result inside its timed compute step.
+Each per-file kernel finishes its own result from its per-file tables
+(word-code counts, or window counts by gram name for sequence count and the
+ranked index). The tables come in file order (`_by_path`): the pushed-down
+tables are computed first, a short file is counted when its turn comes, and
+each table is dropped once merged, so a job holds its result and about one
+file's table, not every file's (tfidf alone keeps them all, for its
+document frequencies, and drops each once scored). The file-major and
+gram-major results stream to the emit: term vectors and sequence counts
+are iterators that count and finish a file only when the emit pulls it,
+and the ranked index merges every file when called, then yields one gram's
+postings at a time, in gram order, popping each gram as it goes. A gram
+seen in one file holds its shared (file, count) tuple alone, not a
+one-element list. The CLI and `tadoc bench` share `run_task` (task to
+kernel); bench drains a streamed result inside its timed compute step.
 
 `select_variant` and INDEX_VARIANTS name the published inverted-index
 traversals (a postorder word-set fold, a preorder file-set push-down over a
@@ -82,8 +80,6 @@ TASKS = (
     "ranked_inverted_index",
     "tfidf",
 )
-
-ORDER_SENSITIVE = ("sequence_count", "ranked_inverted_index")
 
 INDEX_VARIANTS = ("postorder", "preorder_set", "preorder_bitmap", "preorder_twolevel")
 
@@ -199,14 +195,9 @@ def inverted_index(
     postings = _postings(zip(runs, map(set, runs.values())))
     rest = _other_files(dag, runs)
     if rest:
-        index = _push_file_sets(dag, rest)
-        if postings:
-            for code, files in index.items():
-                short = postings.get(code)
-                postings[code] = sorted([*short, *files]) if short else sorted(files)
-        else:
-            # one comprehension: the merge loop costs this kernel about 3% on repetitive
-            postings = {code: sorted(files) for code, files in index.items()}
+        for code, files in _push_file_sets(dag, rest).items():
+            short = postings.get(code)
+            postings[code] = sorted([*short, *files]) if short else sorted(files)
     return _by_word(postings, dictionary.words)
 
 
@@ -414,59 +405,7 @@ def _push_code_counts(dag: Dag, segments: list[tuple[int, int]]) -> list[Counter
     return _push_down(dag, own, segments, seeds)
 
 
-def finish(
-    task: str,
-    tables: Iterable[Counter],
-    dictionary: Dictionary,
-    top_k: int | None = None,
-):
-    """The result of `task` from its per-file tables, in file order: keyed
-    by gram name for the order-sensitive tasks, whose same-name grams are
-    already summed, and by word code for the others.
-
-    Each table is merged as it comes and then dropped, except for tfidf,
-    whose document frequencies need every table first. Term vectors and
-    sequence counts are file-major, so they are an iterator that finishes a
-    file's vector or table only when it is pulled; the ranked index is an
-    iterator over its grams (`rank_gram_files`).
-
-    top_k keeps each file's first top_k terms of a term vector; None keeps
-    them all.
-    """
-    if task == "sequence_count":
-        return gram_counts(tables)
-    if task == "ranked_inverted_index":
-        return rank_gram_files(tables)
-    words = dictionary.words
-    if task == "term_vector":
-        if top_k is not None and top_k < 0:
-            raise ValueError(f"top_k must be >= 0, got {top_k}")
-        return _term_vectors(tables, words, top_k)
-    if task == "tfidf":
-        tables = list(tables)
-        # the document frequency of a word is the number of files counting it
-        df = Counter(chain.from_iterable(tables))
-        file_count = len(tables)
-        idf = {code: math.log(file_count / files) for code, files in df.items()}
-        scores: dict[int, dict[int, float]] = {}
-        for file_id in range(file_count):
-            # each table is dropped once scored
-            table, tables[file_id] = tables[file_id], None
-            for code, count in table.items():
-                weight = idf[code]
-                by_file = scores.get(code)
-                if by_file is None:
-                    by_file = scores[code] = {}
-                # 1 * weight is weight exactly
-                by_file[file_id] = weight if count == 1 else count * weight
-        return _by_word(scores, words)
-    if task == "inverted_index":
-        return _by_word(_postings(enumerate(tables)), words)
-    totals: Counter = Counter()
-    for table in tables:
-        totals.update(table)
-    counts = _by_word(totals, words)
-    return list(counts.items()) if task == "sort" else counts
+# -- term vector and tfidf -------------------------------------------------------
 
 
 def _term_vectors(
@@ -482,20 +421,36 @@ def _term_vectors(
         yield items[:top_k]
 
 
-# -- term vector and tfidf -------------------------------------------------------
-
-
 def term_vector(
     dag: Dag, dictionary: Dictionary, top_k: int | None = None
 ) -> Iterator[list[tuple[str, int]]]:
     """Per file, in file order: (word, count) sorted by count descending,
-    ties by word. Each file is counted as its vector is pulled."""
-    return finish("term_vector", _per_file_code_counts(dag), dictionary, top_k)
+    ties by word, cut to top_k (None keeps every word). Each file is counted
+    as its vector is pulled."""
+    if top_k is not None and top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
+    return _term_vectors(_per_file_code_counts(dag), dictionary.words, top_k)
 
 
 def tfidf(dag: Dag, dictionary: Dictionary) -> dict[str, dict[int, float]]:
     """Raw in-file term frequency times ln(file count / document frequency)."""
-    return finish("tfidf", _per_file_code_counts(dag), dictionary)
+    tables = list(_per_file_code_counts(dag))
+    # the document frequency of a word is the number of files counting it
+    df = Counter(chain.from_iterable(tables))
+    file_count = len(tables)
+    idf = {code: math.log(file_count / files) for code, files in df.items()}
+    scores: dict[int, dict[int, float]] = {}
+    for file_id in range(file_count):
+        # each table is dropped once scored
+        table, tables[file_id] = tables[file_id], None
+        for code, count in table.items():
+            weight = idf[code]
+            by_file = scores.get(code)
+            if by_file is None:
+                by_file = scores[code] = {}
+            # 1 * weight is weight exactly
+            by_file[file_id] = weight if count == 1 else count * weight
+    return _by_word(scores, dictionary.words)
 
 
 # -- sequence count -----------------------------------------------------------
@@ -598,7 +553,7 @@ def sequence_count(
 ) -> Iterator[dict[str, int]]:
     """Per file, in file order: counts of every l-word window, keyed by the
     joined words. Each file is counted as its table is pulled."""
-    return finish("sequence_count", _gram_tables(dag, dictionary.words, l), dictionary)
+    return gram_counts(_gram_tables(dag, dictionary.words, l))
 
 
 def ranked_inverted_index(
@@ -606,9 +561,7 @@ def ranked_inverted_index(
 ) -> Iterator[tuple[str, list[tuple[int, int]]]]:
     """Per l-gram, in gram order: (gram, [(file, count), ...]) sorted by
     count descending, ties by file."""
-    return finish(
-        "ranked_inverted_index", _gram_tables(dag, dictionary.words, l), dictionary
-    )
+    return rank_gram_files(_gram_tables(dag, dictionary.words, l))
 
 
 def rank_gram_files(

@@ -6,14 +6,10 @@ it exceeds h_split = S/(2*n_w) and keeping it whole would leave some
 partition above 1.25x the average worker load.
 
 No CLI path calls `run_parallel`: every `analyze` job runs on the loaded
-grammar. It stays because the benchmark's traced probe calls it. It counts
-each unit (a whole file or one section) of plain code streams with the
-kernels' run counters: word-code counts, or l-gram counts by gram name for
-the order-sensitive tasks. A section's codes run l-1 tokens past its end, so
-each window is counted by the one section it starts in and a file's table is
-the sum of its sections' tables. The tables per file are finished with
-`kernels.finish`, as the one-worker kernels do, so results are invariant in
-the worker count.
+grammar. It stays, for word count only, because the benchmark's traced
+probe calls it that way. Each worker counts the sections of its partition
+of plain code streams with one `Counter`, and the counts are summed, so the
+result is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -21,11 +17,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, namedtuple
-from functools import partial
 
 from . import kernels
 from .corpus import Dictionary
-from .kernels import ORDER_SENSITIVE, TASKS
 
 
 # -- partitioning ---------------------------------------------------------------
@@ -114,50 +108,26 @@ def plan_partitions(sizes: list[int], n_workers: int) -> PartitionPlan:
 
 
 def run_parallel(
-    dictionary: Dictionary,
-    file_codes: list[list[int]],
-    task: str,
-    n_workers: int,
-    l: int = 3,
-    top_k: int | None = None,
-):
-    """Partition, count each partition's units on a worker, then merge.
-
-    file_codes holds each file's word-code stream (no separators). The
-    merged result is identical for any worker count.
-    """
+    dictionary: Dictionary, file_codes: list[list[int]], task: str, n_workers: int
+) -> dict[str, int]:
+    """Word totals of `file_codes`, each file's word-code stream (no
+    separators), counted one partition per worker and then summed. The only
+    task is "word_count"; the result is the same for any worker count."""
     # imported here: it loads threading and logging, which no other path needs
     from concurrent.futures import ThreadPoolExecutor
 
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    if task in ORDER_SENSITIVE:
-        if l < 2:
-            raise ValueError(f"sequence length must be >= 2, got {l}")
-        count_run = partial(kernels._count_gram_run, dictionary.words, l)
-        # a section's l-gram windows run up to l-1 tokens past its end
-        overlap = l - 1
-    else:
-        count_run = Counter
-        overlap = 0
+    if task != "word_count":
+        raise ValueError(f"run_parallel counts words only, not {task!r}")
     plan = plan_partitions([len(codes) for codes in file_codes], n_workers)
-    partitions = [
-        sorted(partition, key=lambda s: (s.file_id, s.seq))
-        for partition in plan.partitions
-        if partition
-    ]
 
     def work(sections):
-        return [
-            count_run(file_codes[s.file_id][s.start : s.end + overlap])
-            for s in sections
-        ]
+        counts = Counter()
+        for s in sections:
+            counts.update(file_codes[s.file_id][s.start : s.end])
+        return counts
 
+    totals = Counter()
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        partials = list(pool.map(work, partitions))
-
-    tables: list[Counter] = [Counter() for _ in file_codes]
-    for sections, counted in zip(partitions, partials):
-        for section, table in zip(sections, counted):
-            tables[section.file_id].update(table)
-    return kernels.finish(task, tables, dictionary, top_k)
+        for counts in pool.map(work, plan.partitions):
+            totals.update(counts)
+    return kernels._by_word(totals, dictionary.words)

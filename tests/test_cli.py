@@ -835,7 +835,10 @@ def test_emit_writes_a_file_before_the_next_table_is_pulled(task, monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     # one row per write, so that rows are written as soon as they are made
     monkeypatch.setattr(cli, "_EMIT_ROWS", 1)
-    result = kernels.finish(task, pulled(), dictionary)
+    if task == "term_vector":
+        result = kernels._term_vectors(pulled(), dictionary.words, None)
+    else:
+        result = kernels.gram_counts(pulled())
     cli._emit(task, result, ["f0", "f1"], "tsv")
     rows = out.getvalue().splitlines()
     assert len(rows) == 3

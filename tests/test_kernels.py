@@ -92,6 +92,16 @@ def test_term_vector_reference_and_top_k():
         [("a", 6), ("b", 5), ("c", 2), ("d", 2)]
     ]
     assert list(kernels.term_vector(dag, dictionary, top_k=2)) == [[("a", 6), ("b", 5)]]
+    rng = random.Random(43)
+    for _ in range(12):
+        files = random_corpus(rng)
+        dictionary, _, dag = build_dag(files)
+        for top_k in (0, 1, 3):
+            expected = oracle.run("term_vector", files, top_k=top_k)
+            assert list(kernels.term_vector(dag, dictionary, top_k)) == expected, top_k
+    # checked when called, before any vector is pulled
+    with pytest.raises(ValueError):
+        kernels.term_vector(dag, dictionary, top_k=-1)
 
 
 def test_sequence_count_reference():

@@ -5,8 +5,8 @@ import pytest
 from conftest import build_dag, random_corpus, whole
 from tadoc import kernels, oracle
 from tadoc.corpus import encode_corpus, encode_tokens, tokenize
-from tadoc.kernels import select_variant
-from tadoc.scheduler import TASKS, plan_partitions, run_parallel
+from tadoc.kernels import TASKS, select_variant
+from tadoc.scheduler import plan_partitions, run_parallel
 
 
 def test_selector_published_thresholds():
@@ -103,18 +103,11 @@ def test_results_invariant_under_worker_count():
         files = random_corpus(rng)
         dictionary, streams = _file_streams(files)
         for task in TASKS:
-            reference = run_task_sequential(files, task)
-            assert run_oracle(files, task) == reference
-            for workers in (1, 2, 4, 8):
-                merged = whole(task, run_parallel(dictionary, streams, task, workers))
-                assert merged == reference, (task, workers)
-        for top_k in (0, 1, 3):
-            reference = oracle.run("term_vector", files, top_k=top_k)
-            for workers in (1, 2, 4, 8):
-                merged = list(run_parallel(
-                    dictionary, streams, "term_vector", workers, top_k=top_k
-                ))
-                assert merged == reference, (top_k, workers)
+            assert run_task_sequential(files, task) == run_oracle(files, task), task
+        reference = run_oracle(files, "word_count")
+        for workers in (1, 2, 4, 8):
+            merged = run_parallel(dictionary, streams, "word_count", workers)
+            assert merged == reference, workers
 
 
 def test_run_parallel_never_infers_a_grammar(monkeypatch):
@@ -124,71 +117,36 @@ def test_run_parallel_never_infers_a_grammar(monkeypatch):
     rng = random.Random(59)
     files = random_corpus(rng)
     files.append(("big", " ".join(rng.choices(["u", "v", "w"], k=400))))
-    references = {task: run_task_sequential(files, task) for task in TASKS}
+    for task in TASKS:
+        assert run_task_sequential(files, task) == run_oracle(files, task), task
+    reference = run_oracle(files, "word_count")
     dictionary, streams = _file_streams(files)
     monkeypatch.setattr("tadoc.sequitur._infer", no_inference)
     for workers in (1, 2, 3):
-        for task in TASKS:
-            merged = whole(task, run_parallel(dictionary, streams, task, workers))
-            assert merged == references[task], (task, workers)
+        merged = run_parallel(dictionary, streams, "word_count", workers)
+        assert merged == reference, workers
 
 
-def test_split_file_sequence_count_matches_oracle():
+def test_split_file_word_count_matches_oracle():
+    # the benchmark's probe: run_parallel(dictionary, streams, "word_count", w)
     rng = random.Random(47)
-    # one dominating file forces a split under several worker counts
     big = " ".join(rng.choices(["u", "v", "w", "x", "y"], k=900))
-    cases = [(big, (2, 4, 8), (2, 3, 5))]
-    # sections shorter than l-1 tokens: windows run over several sections
-    for size in (12, 25, 60):
-        short = " ".join(rng.choices(["u", "v", "w", "x", "y"], k=size))
-        cases.append((short, (8, 16), (5, 8)))
-    for text, worker_counts, lengths in cases:
-        files = [("big", text), ("s0", "u v"), ("s1", "w"), ("s2", "")]
-        dictionary, streams = _file_streams(files)
-        for workers in worker_counts:
-            plan = plan_partitions([len(s) for s in streams], workers)
-            assert 0 in plan.split_files
-            for l in lengths:
-                merged = list(run_parallel(
-                    dictionary, streams, "sequence_count", workers, l=l
-                ))
-                assert merged == oracle.run("sequence_count", files, l), (workers, l)
-                ranked = dict(run_parallel(
-                    dictionary, streams, "ranked_inverted_index", workers, l=l
-                ))
-                assert ranked == oracle.run("ranked_inverted_index", files, l)
-
-
-def test_split_file_with_underscore_words_matches_oracle():
-    # (a_b, c) and (a, b_c) join alike; the worker tables are summed by name
-    rng = random.Random(53)
-    words = ["a_b", "c", "a", "b_c", "x", "_", "a_"]
-    big = " ".join(rng.choices(words, k=600))
-    files = [("big", big), ("s0", "a_b c a b_c"), ("s1", "_ a_ _")]
+    files = [("big", big), ("s0", "u v"), ("s1", "w"), ("s2", "")]
     dictionary, streams = _file_streams(files)
-    for workers in (1, 2, 3):
+    expected = list(run_oracle(files, "word_count").items())
+    for workers in range(1, 9):
         if workers > 1:
             plan = plan_partitions([len(s) for s in streams], workers)
-            assert 0 in plan.split_files
-        for l in (2, 3, 4):
-            counts = list(
-                run_parallel(dictionary, streams, "sequence_count", workers, l=l)
-            )
-            assert counts == oracle.run("sequence_count", files, l), (workers, l)
-            ranked = dict(run_parallel(
-                dictionary, streams, "ranked_inverted_index", workers, l=l
-            ))
-            assert ranked == oracle.run("ranked_inverted_index", files, l), (workers, l)
+            assert plan.split_files == {0}, workers
+        result = run_parallel(dictionary, streams, "word_count", workers)
+        assert list(result.items()) == expected, workers
+        for task in TASKS:
+            if task != "word_count":
+                with pytest.raises(ValueError):
+                    run_parallel(dictionary, streams, task, workers)
 
 
 def test_run_parallel_rejects_unknown_task():
     dictionary, streams = _file_streams([("f0", "a b")])
     with pytest.raises(ValueError):
         run_parallel(dictionary, streams, "word-frequency", 2)
-
-
-def test_run_parallel_rejects_negative_top_k():
-    dictionary, streams = _file_streams([("f0", "a b a"), ("f1", "b c")])
-    for workers in (1, 2):
-        with pytest.raises(ValueError):
-            run_parallel(dictionary, streams, "term_vector", workers, top_k=-1)

@@ -6,8 +6,9 @@ which slides the window over the plain token lists, for l = 2..8: tables
 and their order must be equal. The word tasks (inverted index, term vector,
 tfidf) and both word count kernels are checked on the same corpora. Every
 file of the small corpora is short, so each corpus also goes through both
-per-file paths, and the inverted index's push-down, called directly; mixed
-corpora check which file takes which path.
+per-file paths, whose tables must be equal file by file, and the inverted
+index's push-down, called directly; mixed corpora check which file takes
+which path.
 """
 
 from __future__ import annotations
@@ -38,23 +39,22 @@ def _items(result):
     return result
 
 
-def both_path_tables(dag, words, l=None):
-    """Per path, the per-file tables of every file: word-code counts, or
-    l-word window counts when `l` is given. Every file must be short."""
+def assert_paths_agree(dag, words, l=None):
+    """Every file is counted alike over its expanded run and by the
+    push-down: word-code counts, or l-word window counts when `l` is given.
+    Every file must be short."""
     runs = kernels._short_runs(dag)
     assert list(runs) == list(range(dag.file_count))
     if l is None:
-        return [
-            list(map(Counter, runs.values())),
-            kernels._push_code_counts(dag, dag.segments),
-        ]
-    return [
-        [kernels._count_gram_run(words, l, run) for run in runs.values()],
-        kernels._push_gram_tables(dag, words, l, dag.segments),
-    ]
+        short = list(map(Counter, runs.values()))
+        pushed = kernels._push_code_counts(dag, dag.segments)
+    else:
+        short = [kernels._count_gram_run(words, l, run) for run in runs.values()]
+        pushed = kernels._push_gram_tables(dag, words, l, dag.segments)
+    assert short == pushed, l
 
 
-def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths=True):
+def assert_words_exact(files, thresholds=(0, 5, 100), both_paths=True):
     truth = {
         "word_count": oracle.run("word_count", files),
         "inverted_index": oracle.run("inverted_index", files),
@@ -74,9 +74,7 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths
             "tfidf": [kernels.tfidf(dag, dictionary)],
         }
         if both_paths:
-            for tables in both_path_tables(dag, dictionary.words):
-                for task in truth:
-                    got[task].append(kernels.finish(task, tables, dictionary))
+            assert_paths_agree(dag, dictionary.words)
             got["inverted_index"].append(traversal_index(dag, dictionary))
         for task, results in got.items():
             for result in results:
@@ -85,14 +83,13 @@ def assert_words_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths
                 )
     dictionary, _ = encode_corpus(files)
     streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
-    for n in workers:
-        for task, expected in truth.items():
-            got = whole(task, run_parallel(dictionary, streams, task, n))
-            assert _items(got) == _items(expected), (n, task)
+    for n in (1, 3):
+        got = run_parallel(dictionary, streams, "word_count", n)
+        assert _items(got) == _items(truth["word_count"]), n
 
 
-def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths=True):
-    assert_words_exact(files, thresholds, workers, both_paths)
+def assert_exact(files, thresholds=(0, 5, 100), both_paths=True):
+    assert_words_exact(files, thresholds, both_paths)
     for l in LENGTHS:
         counts = _items(oracle.run("sequence_count", files, l))
         ranked = _items(oracle.run("ranked_inverted_index", files, l))
@@ -103,18 +100,7 @@ def assert_exact(files, thresholds=(0, 5, 100), workers=(1, 3), both_paths=True)
             got = dict(kernels.ranked_inverted_index(dag, dictionary, l))
             assert _items(got) == ranked, (threshold, l)
             if both_paths:
-                for tables in both_path_tables(dag, dictionary.words, l):
-                    got = list(kernels.finish("sequence_count", tables, dictionary))
-                    assert _items(got) == counts, (threshold, l)
-                    got = kernels.finish("ranked_inverted_index", tables, dictionary)
-                    assert _items(dict(got)) == ranked, (threshold, l)
-        dictionary, _ = encode_corpus(files)
-        streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
-        for n in workers:
-            got = run_parallel(dictionary, streams, "sequence_count", n, l=l)
-            assert _items(list(got)) == counts, (n, l)
-            got = run_parallel(dictionary, streams, "ranked_inverted_index", n, l=l)
-            assert _items(dict(got)) == ranked, (n, l)
+                assert_paths_agree(dag, dictionary.words, l)
 
 
 @st.composite
@@ -334,22 +320,17 @@ def test_a_window_longer_than_every_file_costs_no_memory():
     # each short file's run used to be sliced l times, whatever its length
     files = [("f0", "a b c d"), ("f1", "b c d e")]
     dictionary, _, dag = build_dag(files)
-    streams = [[dictionary.code_for(t) for t in tokenize(text)] for _, text in files]
     l = 10**5
     expected = oracle.run("sequence_count", files, l)
     assert expected == [{}, {}]
-    for count in (
-        lambda: list(kernels.sequence_count(dag, dictionary, l)),
-        lambda: list(run_parallel(dictionary, streams, "sequence_count", 1, l)),
-    ):
-        tracemalloc.start()
-        try:
-            got = count()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == expected
-        assert peak < 1 << 20
+    tracemalloc.start()
+    try:
+        got = list(kernels.sequence_count(dag, dictionary, l))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 1 << 20
 
 
 def test_a_window_longer_than_the_text_reads_no_rule():
