@@ -544,15 +544,7 @@ def _top_k(value: str) -> int:
     return top_k
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tadoc",
-        description="Compress text corpora into grammar containers and run "
-        "analytics directly on them.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_compress(sub) -> None:
     p = sub.add_parser("compress", help="build a .tdoc container from text files")
     p.add_argument("inputs", nargs="*", help="input files or directories")
     p.add_argument("--file-list", help="manifest of input paths, or - for stdin")
@@ -562,11 +554,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-dict", help="also write code<TAB>word lines here")
     p.set_defaults(func=cmd_compress)
 
+
+def _add_decompress(sub) -> None:
     p = sub.add_parser("decompress", help="reconstruct token streams from a container")
     p.add_argument("container")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_decompress)
 
+
+def _add_analyze(sub) -> None:
     p = sub.add_parser("analyze", help="run an analytics task")
     p.add_argument("inputs", nargs="+", help="container (engine cd) or raw inputs")
     p.add_argument("task", choices=sorted(TASK_NAMES))
@@ -593,6 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_analyze)
 
+
+def _add_features(sub) -> None:
     p = sub.add_parser(
         "features", help="print corpus features from a container",
         description="Print corpus features from a container's header and file "
@@ -604,6 +602,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_features)
 
+
+def _add_bench(sub) -> None:
     p = sub.add_parser("bench", help="time engines on a corpus directory")
     p.add_argument("corpus", help="directory of text files")
     p.add_argument("task", choices=sorted(TASK_NAMES))
@@ -618,15 +618,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_bench)
 
+
+# each command adds its own parser, in the order `tadoc --help` lists them
+_COMMANDS = {
+    "compress": _add_compress,
+    "decompress": _add_decompress,
+    "analyze": _add_analyze,
+    "features": _add_features,
+    "bench": _add_bench,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone when it names one, else of every command.
+
+    A command's parser is the same either way, but building the other four
+    costs every job about a millisecond. The top-level usage that
+    `tadoc --help`, `--version` and a missing or unknown command print lists
+    every command, so those get the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tadoc",
+        description="Compress text corpora into grammar containers and run "
+        "analytics directly on them.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    adders = [_COMMANDS[command]] if command in _COMMANDS else _COMMANDS.values()
+    for add in adders:
+        add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     if args.command == "analyze" and args.engine == "cd" and args.lowercase:
-        # the container's words were folded, or not, when it was compressed
-        parser.error(
+        # the container's words were folded, or not, when it was compressed;
+        # the error prints the usage of the full parser
+        _build_parser().error(
             "analyze --lowercase applies to engines baseline and gzip; "
             "pass --lowercase to compress to fold a container's words"
         )

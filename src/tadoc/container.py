@@ -170,6 +170,15 @@ def _read_blob(
 def check_file_names(names: list[str], error: type[Exception]) -> None:
     """Raise `error` unless each name is UTF-8 text that holds no comma, tab
     or line break, which would split the fields of TSV output."""
+    # one encode and one scan of all the names; the loop below runs only to
+    # name the first file at fault
+    joined = "".join(names)
+    try:
+        joined.encode("utf-8")
+        if _TSV_BREAKS.isdisjoint(joined):
+            return
+    except UnicodeEncodeError:
+        pass
     for name in names:
         try:
             name.encode("utf-8")

@@ -86,9 +86,11 @@ def load_merge_graph(grammar: Grammar) -> Dag:
             r for r in range(end - 1, n - 1, -1) if min(rules[r - n], default=0) < 0
         )
         raise _fault(rid, rules[rid - n], n, lengths)
-    # every reference is to a later rule, so all are reached when the
-    # references name as many rules as follow the root
-    if sum(map(n.__le__, used)) != len(rules) - 1:
+    # every reference is to a later rule, so all are reached when every rule
+    # after the root is referenced. The lengths pass has rejected every
+    # symbol at or above `end`, and every reference to the root, whose
+    # length is None until the pass ends
+    if not used.issuperset(range(n + 1, end)):
         raise GrammarError("grammar has unreachable rules")
     segments = _root_segments(root, n_words, n, separators)
     return Dag(n, n_words, rules, lengths, segments)

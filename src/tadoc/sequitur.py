@@ -370,11 +370,14 @@ def infer_grammar(
     if symbols and (min(symbols) < 0 or max(symbols) >= n_terminals):
         code = next(code for code in symbols if not 0 <= code < n_terminals)
         raise MalformedStreamError(f"code {code} out of range (N={n_terminals})")
-    # Substitution cascades recurse; headroom is raised process-wide and
-    # never restored.
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
-    return _infer(symbols, n_terminals, n_words)
+    # Substitution cascades recurse. The limit is process-wide, so the one
+    # the caller set is restored when the call returns.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        return _infer(symbols, n_terminals, n_words)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def parents_first(grammar: Grammar) -> Grammar:

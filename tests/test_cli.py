@@ -1,3 +1,4 @@
+import argparse
 import gc
 import gzip
 import io
@@ -296,6 +297,45 @@ def test_features_rows_come_from_the_header(capsys, ref_container):
     )
 
 
+def _command_parsers(parser):
+    """Command name -> its parser, from a parser that `_build_parser` made."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_a_command_parser_built_alone_matches_the_full_one(
+    capsys, monkeypatch, ref_container
+):
+    from tadoc import cli
+
+    full = _command_parsers(cli._build_parser())
+    assert list(full) == ["compress", "decompress", "analyze", "features", "bench"]
+    for command, parser in full.items():
+        alone = _command_parsers(cli._build_parser(command))
+        assert list(alone) == [command]
+        assert alone[command].format_help() == parser.format_help(), command
+    # the top-level help lists every command
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert excinfo.value.code == 0
+    assert "{compress,decompress,analyze,features,bench}" in out
+    for command in full:
+        assert f"    {command} " in out, command
+    # a missing or unknown command is a usage error, whose usage lists every
+    # command
+    for argv in ([], ["frobnicate"], ["Analyze"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2, argv
+        assert "{compress,decompress,analyze,features,bench}" in err, argv
+    # with no argv, main reads the command from sys.argv
+    monkeypatch.setattr(sys, "argv", ["tadoc", "features", str(ref_container)])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("files\t1\ntokens\t15\n")
+
+
 def test_features_help_says_only_the_header_is_checked(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["features", "--help"])
@@ -542,23 +582,27 @@ def test_file_names_that_split_tsv_fields_are_corpus_errors(
     capsys, tmp_path, command, name
 ):
     # an inverted-index row joins file names with commas, and every row
-    # separates fields by tabs and ends at a line break
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    for file_name, text in (("ok.txt", "x y\n"), (name, "y z\n")):
-        if command == "gzip":
-            (corpus / f"{file_name}.gz").write_bytes(gzip.compress(text.encode()))
+    # separates fields by tabs and ends at a line break. The bad name sorts
+    # first, or after 300 clean ones
+    clean_sets = (["ok.txt"], [f"{i:03d}.txt" for i in range(300)])
+    for index, clean in enumerate(clean_sets):
+        corpus = tmp_path / f"corpus{index}"
+        corpus.mkdir()
+        for file_name, text in [*((c, "x y\n") for c in clean), (name, "y z\n")]:
+            if command == "gzip":
+                (corpus / f"{file_name}.gz").write_bytes(gzip.compress(text.encode()))
+            else:
+                (corpus / file_name).write_text(text)
+        out_path = tmp_path / "c.tdoc"
+        if command == "compress":
+            argv = ["compress", str(corpus), "--out", str(out_path)]
         else:
-            (corpus / file_name).write_text(text)
-    out_path = tmp_path / "c.tdoc"
-    if command == "compress":
-        argv = ["compress", str(corpus), "--out", str(out_path)]
-    else:
-        argv = ["analyze", str(corpus), "inverted-index", "--engine", command]
-    code, out, err = run(capsys, argv)
-    # the message names the file as repr() quotes it, control characters escaped
-    assert (code, out, repr(name)[1:-1] in err) == (4, "", True)
-    assert not out_path.exists()
+            argv = ["analyze", str(corpus), "inverted-index", "--engine", command]
+        code, out, err = run(capsys, argv)
+        # the message names the file as repr() quotes it, control characters
+        # escaped
+        assert (code, out, repr(name)[1:-1] in err) == (4, "", True), clean[0]
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", ["compress", "bench"])
@@ -597,13 +641,15 @@ def _container_named(tmp_path, names):
 
 @pytest.mark.parametrize("task", ["inverted-index", "term-vector", "tfidf"])
 def test_tsv_output_refuses_names_that_split_its_fields(capsys, tmp_path, task):
-    path = _container_named(tmp_path, ["a,b", "c\td"])
-    code, out, err = run(capsys, ["analyze", str(path), task])
-    assert (code, out) == (3, "")
-    assert repr("a,b") in err and "--output json" in err
-    # JSON quotes every name
-    code, out, _ = run(capsys, ["analyze", str(path), task, "--output", "json"])
-    assert (code, json.loads(out)["files"]) == (0, ["a,b", "c\td"])
+    # the bad name comes first, or after 300 clean ones
+    for names in (["a,b", "c\td"], [*(f"f{i}" for i in range(300)), "a,b"]):
+        path = _container_named(tmp_path, names)
+        code, out, err = run(capsys, ["analyze", str(path), task])
+        assert (code, out) == (3, "")
+        assert repr("a,b") in err and "--output json" in err
+        # JSON quotes every name
+        code, out, _ = run(capsys, ["analyze", str(path), task, "--output", "json"])
+        assert (code, json.loads(out)["files"]) == (0, names)
 
 
 @pytest.mark.parametrize(
@@ -884,6 +930,7 @@ def test_lowercase_with_the_cd_engine_is_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "pass --lowercase to compress" in captured.err
+    assert "{compress,decompress,analyze,features,bench}" in captured.err
     for argv in (
         ["analyze", str(corpus), "word-count", "--engine", "baseline", "--lowercase"],
         ["analyze", str(folded), "word-count"],

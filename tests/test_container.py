@@ -303,14 +303,24 @@ def test_rules_not_stored_parents_first_are_rejected():
 def test_unreferenced_rule_is_rejected():
     dictionary, encoded, grammar = build([("f0", "a b a b")])
     n = grammar.n_terminals
-    orphan = Grammar(n, grammar.n_words, grammar.rules + [[0, 1]])
-    blob = C.write_container(dictionary, orphan, encoded.file_table, False)
-    with pytest.raises(C.ContainerError, match="unreachable"):
-        C.load_container(blob)
-    with pytest.raises(GrammarError, match="unreachable"):
-        load_merge_graph(orphan)
-    with pytest.raises(GrammarError, match="unreachable"):
-        parents_first(orphan)
+    end = n + len(grammar.rules)
+    root, *rest = [[s + (s > n) for s in body] for body in grammar.rules]
+    # a leaf orphan last; an orphan whose body holds the only reference to
+    # the rule after it, so that every rule but one is referenced; a leaf
+    # orphan first after the root
+    for rules in (
+        grammar.rules + [[0, 1]],
+        grammar.rules + [[end + 1, 0], [0, 1]],
+        [root, [0, 1], *rest],
+    ):
+        orphan = Grammar(n, grammar.n_words, rules)
+        blob = C.write_container(dictionary, orphan, encoded.file_table, False)
+        with pytest.raises(C.ContainerError, match="unreachable"):
+            C.load_container(blob)
+        with pytest.raises(GrammarError, match="unreachable"):
+            load_merge_graph(orphan)
+        with pytest.raises(GrammarError, match="unreachable"):
+            parents_first(orphan)
 
 
 def test_file_token_counts_must_sum_to_total():

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,3 +392,18 @@ def test_inference_leaves_no_reference_cycle():
     finally:
         gc.enable()
     assert expand(grammar) == stream
+
+
+def test_inference_restores_the_callers_recursion_limit():
+    # the limit is process-wide: a library caller's setting must survive
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        dictionary, encoded = encode_corpus([("f0", "a b c a b c a b"), ("f1", "b c a")])
+        grammar = infer_grammar(
+            encoded.symbols, dictionary.n_total, dictionary.word_count
+        )
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
+    assert expand(grammar) == encoded.symbols
