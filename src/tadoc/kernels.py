@@ -4,10 +4,10 @@ Kernels read the rule bodies (`dag.rules`) and the words each symbol
 expands to (`dag.lengths`); no per-rule count table is built at load time.
 Grammars number their rules parents first, and `dag.rules` holds them in
 rule-id order, so it lists every parent before its children: a rule's
-frequency or file set is complete when its turn comes, and the per-file
-push-down below orders its heap by rule id. Whole-corpus word counts
-count each body times its rule's frequency in one table, or fold a full
-table per rule, children first.
+frequency or file set is complete when its turn comes, and each walk
+below visits a reached rule once, in rule-id order, for all the files it
+serves. Whole-corpus word counts count each body times its rule's
+frequency in one table, or fold a full table per rule, children first.
 
 Per-file tasks, the inverted index among them, choose a path per file,
 reading only the grammar. A short file (`_short_runs`), whose root segment
@@ -19,9 +19,9 @@ with, built only when some segment is that short. Files of 40-120 tokens
 rarely repeat a rule inside themselves, so the grammar saves them nothing.
 Every other file goes through the grammar, over only the rules that such
 files reach (`_reached`). For the inverted index each reached rule's set of
-files is pushed down to its children, parents first (`_push_file_sets`).
-For the other tasks it is the push-down of frequencies (`_push_down`): a
-file's table is what its root segment holds directly plus each reached
+files is pushed down to its children (`_push_file_sets`). For the other
+tasks it is each reached rule's map of frequencies by file (`_push_down`):
+a file's table is what its root segment holds directly plus each reached
 rule's own table times the rule's frequency in the segment. For word
 counts a rule's own table is the words of its body, counted for the
 reached rules only. For l-word windows one bottom-up pass first keeps each
@@ -59,7 +59,6 @@ checks the logged pick (`check_job`) and passes the preorder names to
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
@@ -338,48 +337,38 @@ def _push_down(
     """Per root segment: its seed table plus each reached rule's `own` table
     times the rule's frequency in the segment.
 
-    `own` holds a table for each rule the segments reach (`_reached`),
-    children first. Frequencies are pushed down, parents first, only
-    through the rules a segment reaches; rules with nothing to count in
-    their expansion are skipped, so no loop runs over all of `dag.rules`
-    per file. The seed tables are added to in place and returned.
+    `own` holds a table for each rule the segments reach (`_reached`), in
+    any order. Each such rule gets one map, {segment index: frequency},
+    seeded from the root segments. The rules are walked once, parents
+    first: at its turn a rule's map, complete by then, is added to each
+    child occurrence in its body, its `own` table times each frequency is
+    added to that segment's table, and the map is freed. The seed tables
+    are added to in place and returned.
     """
     n = dag.n_terminals
     rules = dag.rules
-    # rules with something to count in their expansion: (such children
-    # with their multiplicities, own table)
-    counted: dict[int, tuple[list[tuple[int, int]], dict]] = {}
-    for rid, rule_table in own.items():
-        children: dict[int, int] = {}
-        for sym in rules[rid - n]:
-            if sym in counted:
-                children[sym] = children.get(sym, 0) + 1
-        if rule_table or children:
-            counted[rid] = (list(children.items()), rule_table)
-
+    freqs: dict[int, dict[int, int]] = {rid: {} for rid in own}
     root = rules[0]
-    for (start, end), table in zip(segments, seeds):
-        freq: dict[int, int] = {}
+    for index, (start, end) in enumerate(segments):
         for sym in root[start:end]:
-            if sym in counted:
-                freq[sym] = freq.get(sym, 0) + 1
-        # rule ids number parents first: a rule's frequency is complete when popped
-        heap = list(freq)
-        heapq.heapify(heap)
-        # a bound get: `Counter.__missing__` is a Python call per new key
-        get = table.get
-        while heap:
-            rid = heapq.heappop(heap)
-            f = freq[rid]
-            children, rule_table = counted[rid]
-            for child, mult in children:
-                if child in freq:
-                    freq[child] += f * mult
-                else:
-                    freq[child] = f * mult
-                    heapq.heappush(heap, child)
-            for key, count in rule_table.items():
-                table[key] = get(key, 0) + count * f
+            if sym >= n:
+                freq = freqs[sym]
+                freq[index] = freq.get(index, 0) + 1
+    for rid in sorted(own):
+        freq = freqs.pop(rid)
+        for sym in rules[rid - n]:
+            if sym >= n:
+                child = freqs[sym]
+                for index, f in freq.items():
+                    child[index] = child.get(index, 0) + f
+        rule_table = own[rid]
+        if rule_table:
+            for index, f in freq.items():
+                table = seeds[index]
+                # a bound get: `Counter.__missing__` is a Python call per new key
+                get = table.get
+                for key, count in rule_table.items():
+                    table[key] = get(key, 0) + count * f
     return seeds
 
 
@@ -397,7 +386,7 @@ def _push_code_counts(dag: Dag, segments: list[tuple[int, int]]) -> list[Counter
     root = rules[0]
     seeds = [Counter(filter(n.__gt__, root[start:end])) for start, end in segments]
     own = {}
-    for rid in reversed(_reached(dag, segments)):
+    for rid in _reached(dag, segments):
         own[rid] = table = {}
         for sym in rules[rid - n]:
             if sym < n:

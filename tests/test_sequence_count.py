@@ -167,32 +167,53 @@ def test_window_tables_are_keyed_by_gram_name():
 
 
 def test_doubling_grammar_is_counted_without_expansion():
-    # R0 -> a b, Ri -> Ri-1 Ri-1, root -> R39 separator: (a b) repeated
-    # 2^39 times, 2^40 tokens; the counts follow from the grammar alone.
+    # R0 -> a b, Ri -> Ri-1 Ri-1: Ri is (a b) repeated 2^i times. One corpus
+    # is one file, R39 (2^40 tokens); the other adds a second file, R20 R20
+    # (2^22 tokens), so that both segments reach the shared rules R0-R20 and
+    # are pushed down together. The counts follow from the grammar alone.
     # The rules are built children first and renumbered parents first.
     depth = 40
-    n = 3  # a, b and one file separator
-    rules = [[n + depth, 2], [0, 1]]
-    rules += [[n + i, n + i] for i in range(1, depth)]
-    dag = load_merge_graph(parents_first(Grammar(n, 2, rules)))
-    dictionary = Dictionary(["a", "b"], 1)
-    half = 2 ** (depth - 1)
-    expected = {
-        2: {"a_b": half, "b_a": half - 1},
-        3: {"a_b_a": half - 1, "b_a_b": half - 1},
-        5: {"a_b_a_b_a": half - 2, "b_a_b_a_b": half - 2},
-    }
-    for l, counts in expected.items():
-        assert list(kernels.sequence_count(dag, dictionary, l)) == [counts]
-        ranked = dict(kernels.ranked_inverted_index(dag, dictionary, l))
-        assert ranked == {gram: [(0, count)] for gram, count in counts.items()}
-    words = {"a": half, "b": half}
-    assert kernels.word_count_postorder(dag, dictionary) == words
-    assert kernels.word_count_preorder(dag, dictionary) == words
-    assert kernels.run_task("word_count", dag, dictionary) == words
-    assert list(kernels.term_vector(dag, dictionary)) == [[("a", half), ("b", half)]]
-    # one file: every word is in every file, so ln(1 / 1) scores 0
-    assert kernels.tfidf(dag, dictionary) == {"a": {0: 0.0}, "b": {0: 0.0}}
+    for segments in ([[depth - 1]], [[depth - 1], [20, 20]]):
+        n = 2 + len(segments)  # a, b and one separator per file
+        root = []
+        for separator, segment in enumerate(segments, 2):
+            # Ri is rule n + 1 + i
+            root += [n + 1 + i for i in segment] + [separator]
+        rules = [root, [0, 1]] + [[n + i, n + i] for i in range(1, depth)]
+        dag = load_merge_graph(parents_first(Grammar(n, 2, rules)))
+        dictionary = Dictionary(["a", "b"], len(segments))
+        assert kernels._short_runs(dag) == {}
+        # per file, (a b) repeated `half` times
+        halves = [sum(2**i for i in segment) for segment in segments]
+        # per l, each gram with how many times fewer than `half` it occurs
+        shortfalls = {
+            2: {"a_b": 0, "b_a": 1},
+            3: {"a_b_a": 1, "b_a_b": 1},
+            5: {"a_b_a_b_a": 2, "b_a_b_a_b": 2},
+        }
+        for l, shortfall in shortfalls.items():
+            expected = [
+                {gram: half - fewer for gram, fewer in shortfall.items()}
+                for half in halves
+            ]
+            assert list(kernels.sequence_count(dag, dictionary, l)) == expected
+            # counts fall with the file id, so file order is rank order:
+            # "a_b" has [(0, 2^39), (1, 2^21)] at l = 2
+            ranked = dict(kernels.ranked_inverted_index(dag, dictionary, l))
+            assert ranked == {
+                gram: [(file_id, counts[gram]) for file_id, counts in enumerate(expected)]
+                for gram in expected[0]
+            }
+        words = {"a": sum(halves), "b": sum(halves)}
+        assert kernels.word_count_postorder(dag, dictionary) == words
+        assert kernels.word_count_preorder(dag, dictionary) == words
+        assert kernels.run_task("word_count", dag, dictionary) == words
+        assert list(kernels.term_vector(dag, dictionary)) == [
+            [("a", half), ("b", half)] for half in halves
+        ]
+        # every word is in every file, so ln(files / files) scores 0
+        zeros = dict.fromkeys(range(len(segments)), 0.0)
+        assert kernels.tfidf(dag, dictionary) == {"a": zeros, "b": zeros}
 
 
 def _fresh_text(seed, count):
